@@ -1,15 +1,15 @@
 """Confirmatory factor analysis with balance constraints on secondary loadings."""
 
+import types as _types
+
 from .constraints import (
     BalanceConstraint,
     ConstraintMode,
-    ConstraintResidual,
     ConstraintSet,
     buffered_quality_index,
     build_fixed_weight_constraints,
     build_one_step_constraints,
     constraint_jacobian,
-    evaluate_constraints,
     swap_members,
 )
 from .errors import (
@@ -72,3 +72,7 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
+
+# A star import takes the public names, not the submodules bound above:
+# ``io`` among them would shadow the standard library's module.
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _types.ModuleType)]

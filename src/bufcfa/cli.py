@@ -54,7 +54,8 @@ def _looks_raw(path: Path) -> bool:
                     float(first)
                     return False
                 except ValueError:
-                    return not line.lower().startswith("n")
+                    head, colon, _ = line.partition(":")
+                    return not (colon and head.strip().lower() == "n")
     except OSError:
         return False
     return False

@@ -16,6 +16,7 @@ Jacobian full-rank at feasible points.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -53,15 +54,6 @@ class ConstraintSet:
 
     def __len__(self) -> int:
         return len(self.constraints)
-
-
-@dataclass(frozen=True)
-class ConstraintResidual:
-    values: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
 def _block_pairs(pattern: LoadingPattern):
@@ -146,14 +138,6 @@ def evaluate_lambda(cset: ConstraintSet, lam: np.ndarray) -> np.ndarray:
     return vals
 
 
-def evaluate_constraints(
-    cset: ConstraintSet, theta: np.ndarray, model: FactorModel
-) -> ConstraintResidual:
-    """Residuals at a packed parameter vector."""
-    lam, _, _ = unpack(model, theta)
-    return ConstraintResidual(evaluate_lambda(cset, lam))
-
-
 def constraint_jacobian(
     cset: ConstraintSet, theta: np.ndarray, model: FactorModel
 ) -> np.ndarray:
@@ -179,6 +163,58 @@ def constraint_jacobian(
                 if s_idx is not None:
                     jac[r, s_idx] += 2.0 * s * lam[k, c.unwanted]
     return jac
+
+
+@dataclass(frozen=True)
+class Pivots:
+    """Per constraint, the member loading solved for from the others.
+
+    ``cells`` place the pivots in the loading matrix, ``params`` in the
+    packed vector; ``fixed_weights`` is None in self-weighted mode.
+    """
+
+    cells: tuple[np.ndarray, np.ndarray]
+    params: np.ndarray
+    blocks: np.ndarray
+    fixed_weights: Optional[np.ndarray]
+
+    def weights(self, lam: np.ndarray) -> np.ndarray:
+        """Each pivot's coefficient in its own constraint at ``lam``."""
+        if self.fixed_weights is not None:
+            return self.fixed_weights
+        return 1.0 + lam[self.cells[0], self.blocks] ** 2
+
+
+def choose_pivots(cset: ConstraintSet, model: FactorModel) -> Pivots:
+    """One pivot per constraint: a free member cell no other constraint uses.
+
+    Such a cell enters only its own constraint, and only linearly, so it is
+    solved for exactly from the other parameters.  Fixed-weight mode takes
+    the member of largest |weight|; self-weights are all >= 1, so there any
+    member serves.  A constraint with no such member is a StructureError.
+    """
+    self_weighted = cset.mode is ConstraintMode.SELF_WEIGHTED
+    uses = Counter((k, c.unwanted) for c in cset.constraints for k in c.members)
+    if self_weighted:
+        uses.update((k, c.block) for c in cset.constraints for k in c.members)
+    chosen = []
+    for r, c in enumerate(cset.constraints):
+        weights = (1.0,) * len(c.members) if self_weighted else c.weights
+        eligible = [
+            (abs(w), -pos)
+            for pos, (k, w) in enumerate(zip(c.members, weights))
+            if w != 0.0 and uses[(k, c.unwanted)] == 1 and (k, c.unwanted) in model.loading_index
+        ]
+        if not eligible:
+            raise StructureError(
+                f"constraint {r} (block {c.block}, unwanted factor {c.unwanted}) has no "
+                "free member loading that no other constraint uses"
+            )
+        pos = -max(eligible)[1]
+        cell = (c.members[pos], c.unwanted)
+        chosen.append((*cell, model.loading_index[cell], c.block, weights[pos]))
+    rows, cols, params, blocks, weights = (np.array(x) for x in zip(*chosen))
+    return Pivots((rows, cols), params, blocks, None if self_weighted else weights)
 
 
 def buffered_quality_index(lambda_hat: np.ndarray, pattern: LoadingPattern) -> float:

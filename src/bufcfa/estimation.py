@@ -1,11 +1,11 @@
 """Maximum-likelihood discrepancy and the equality-constrained minimizer.
 
 The discrepancy is the standard ML fit function
-``F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p``.  Constrained fits run an
-augmented-Lagrangian outer loop (multiplier updates, penalty growth when
-feasibility stalls) around scipy's dense BFGS as the inner quasi-Newton
-solver.  Uniquenesses are kept above their floor through a log transform
-of the inner optimization variable, never by clamping.
+``F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p``.  Constrained fits solve
+each balance constraint for one loading, so scipy's dense BFGS runs over
+the other parameters with every iterate feasible.  Uniquenesses are kept
+above their floor through a log transform of the optimization variable,
+never by clamping.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from .constraints import ConstraintSet, constraint_jacobian, evaluate_lambda
+from .constraints import ConstraintSet, choose_pivots, constraint_jacobian, evaluate_lambda
 from .errors import NumericalError, StructureError
 from .model import (
     CellRole,
@@ -79,14 +79,15 @@ class FitOptions:
     balanced start (alternating signs within each constraint block, scaled
     by a seeded random factor); balanced constraints make the unperturbed
     start a stationary saddle the quasi-Newton step cannot leave.
+
+    ``max_inner_iterations`` bounds the BFGS iterations of the whole fit, so
+    a restart gets only those left.  ``feasibility_tol`` bounds the
+    constraint residuals of a converged fit.
     """
 
     gradient_tol: float = 1e-7
     feasibility_tol: float = 1e-8
-    max_outer_iterations: int = 50
     max_inner_iterations: int = 2000
-    initial_penalty: float = 10.0
-    penalty_growth: float = 10.0
     salient_start: float = 0.5
     psi_start: float = 0.5
     perturbation: float = 1e-3
@@ -97,7 +98,7 @@ class FitOptions:
     start_psi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("gradient_tol", "feasibility_tol", "initial_penalty", "penalty_growth"):
+        for name in ("gradient_tol", "feasibility_tol"):
             if not getattr(self, name) > 0:
                 raise StructureError(f"{name} must be positive")
 
@@ -128,8 +129,8 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     return float(ldet_sig - ldet_S + trace - p)
 
 
-def _discrepancy_gradient_parts(lam, phi, psi, S):
-    """F, d F/d lambda, dF/dPhi (full), dF/dpsi at a parameter point."""
+def _discrepancy_and_gradient(model: FactorModel, lam, phi, psi, S):
+    """F without its ln|S| term, and the packed gradient, at a parameter point."""
     p = lam.shape[0]
     common = lam @ phi @ lam.T
     sigma = (common + common.T) / 2.0
@@ -148,28 +149,26 @@ def _discrepancy_gradient_parts(lam, phi, psi, S):
     f_part = ldet_sig + trace - p
     d_lam = 2.0 * (W @ lam @ phi)
     d_phi = lam.T @ W @ lam
-    d_psi = np.diag(W).copy()
-    return f_part, d_lam, d_phi, d_psi
-
-
-def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the discrepancy w.r.t. the packed parameters."""
-    lam, phi, psi = unpack(model, theta)
-    parts = _discrepancy_gradient_parts(lam, phi, psi, np.asarray(S, dtype=float))
-    if parts is None:
-        raise NumericalError("model-implied matrix is not positive definite")
-    _, d_lam, d_phi, d_psi = parts
     grad = np.empty(model.n_parameters)
     for k, (i, j) in enumerate(model.free_loading_cells):
         grad[k] = d_lam[i, j]
     base = model.n_free_loadings
     for k, (i, j) in enumerate(model.free_phi_pairs):
         grad[base + k] = 2.0 * d_phi[i, j]
-    grad[model.psi_offset:] = d_psi
-    return grad
+    grad[model.psi_offset:] = np.diag(W)
+    return f_part, grad
 
 
-def _starting_point(model: FactorModel, constraints, opts: FitOptions) -> np.ndarray:
+def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the discrepancy w.r.t. the packed parameters."""
+    lam, phi, psi = unpack(model, theta)
+    parts = _discrepancy_and_gradient(model, lam, phi, psi, np.asarray(S, dtype=float))
+    if parts is None:
+        raise NumericalError("model-implied matrix is not positive definite")
+    return parts[1]
+
+
+def _starting_point(model: FactorModel, opts: FitOptions) -> np.ndarray:
     """Packed starting vector per the starting-value policy."""
     p, q = model.p, model.q
     lam0 = np.zeros((p, q))
@@ -217,25 +216,6 @@ def _perturb_nonsalient(model: FactorModel, lam0: np.ndarray, opts: FitOptions) 
                     position += 1
 
 
-def _to_internal(model: FactorModel, theta: np.ndarray) -> np.ndarray:
-    z = theta.copy()
-    psi = theta[model.psi_offset:]
-    z[model.psi_offset:] = np.log(np.maximum(psi - model.psi_floor, 1e-300))
-    return z
-
-
-def _from_internal(model: FactorModel, z: np.ndarray) -> np.ndarray:
-    theta = z.copy()
-    theta[model.psi_offset:] = model.psi_floor + np.exp(z[model.psi_offset:])
-    return theta
-
-
-def _chain_to_internal(model: FactorModel, grad_theta: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    g = grad_theta.copy()
-    g[model.psi_offset:] *= theta[model.psi_offset:] - model.psi_floor
-    return g
-
-
 def _align_signs(model: FactorModel, lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip factor columns so the first salient loading is nonnegative.
 
@@ -270,8 +250,11 @@ def fit(
 ) -> Solution:
     """Minimize the ML discrepancy, subject to any balance constraints.
 
-    Returns a :class:`Solution` whose ``converged`` flag reports whether the
-    Lagrangian gradient and the constraint residuals met their tolerances;
+    Each constraint is solved for its pivot (``choose_pivots``) and BFGS
+    runs over the other parameters on the reduced gradient ``g - J' mu``,
+    with multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  Returns a
+    :class:`Solution` whose ``converged`` flag reports whether the reduced
+    gradient and the constraint residuals met their tolerances;
     non-convergence is never silent.
     """
     problems = validate_model(model)
@@ -283,63 +266,42 @@ def fit(
         )
     S = moments.S
     m = len(constraints) if constraints is not None else 0
-    mults = np.zeros(m)
-    penalty = opts.initial_penalty
+    # The solver's vector z is theta[keep], with log(psi - floor) for psi.
+    keep = slice(None)
+    if m:
+        pivots = choose_pivots(constraints, model)
+        keep = np.setdiff1d(np.arange(model.n_parameters), pivots.params)
+    log_psi = slice(model.psi_offset, None)
 
-    def objective(z, mults, penalty):
-        theta = _from_internal(model, z)
+    def point(z):
+        """Full parameters at a solver point, pivots solved."""
+        theta = np.zeros(model.n_parameters)
+        theta[keep] = z
+        theta[log_psi] = model.psi_floor + np.exp(theta[log_psi])
         lam, phi, psi = unpack(model, theta)
-        parts = _discrepancy_gradient_parts(lam, phi, psi, S)
+        if m:
+            # The pivots arrive at zero, so each residual leaves its pivot out.
+            lam[pivots.cells] = -evaluate_lambda(constraints, lam) / pivots.weights(lam)
+            theta[pivots.params] = lam[pivots.cells]
+        return theta, lam, phi, psi
+
+    def objective(z):
+        theta, lam, phi, psi = point(z)
+        parts = _discrepancy_and_gradient(model, lam, phi, psi, S)
         if parts is None:
             return _INFEASIBLE_F, np.zeros_like(z)
-        f, d_lam, d_phi, d_psi = parts
-        grad = np.empty(model.n_parameters)
-        for k, (i, j) in enumerate(model.free_loading_cells):
-            grad[k] = d_lam[i, j]
-        base = model.n_free_loadings
-        for k, (i, j) in enumerate(model.free_phi_pairs):
-            grad[base + k] = 2.0 * d_phi[i, j]
-        grad[model.psi_offset:] = d_psi
+        f, grad = parts
         if m:
-            c = evaluate_lambda(constraints, lam)
             jac = constraint_jacobian(constraints, theta, model)
-            f = f - mults @ c + 0.5 * penalty * (c @ c)
-            grad = grad - jac.T @ (mults - penalty * c)
-        return f, _chain_to_internal(model, grad, theta)
+            mu = grad[pivots.params] / jac[np.arange(m), pivots.params]
+            grad = grad - jac.T @ mu
+        grad[log_psi] *= theta[log_psi] - model.psi_floor
+        return f, grad[keep]
 
-    theta0 = _starting_point(model, constraints, opts)
-    z = _to_internal(model, theta0)
-    total_iterations = 0
-    converged = False
-    grad_norm = np.inf
-    feas = np.inf
-
-    if m == 0:
-        z, grad_norm, nit = _quasi_newton(objective, z, mults, penalty, opts, opts.gradient_tol)
-        total_iterations += nit
-        converged = grad_norm < opts.gradient_tol
-    else:
-        inner_tol = max(1e-4, opts.gradient_tol)
-        feas_prev = np.inf
-        for _ in range(opts.max_outer_iterations):
-            z, grad_norm, nit = _quasi_newton(objective, z, mults, penalty, opts, inner_tol)
-            total_iterations += nit
-            theta = _from_internal(model, z)
-            lam, _, _ = unpack(model, theta)
-            c = evaluate_lambda(constraints, lam)
-            feas = float(np.max(np.abs(c))) if c.size else 0.0
-            if feas < opts.feasibility_tol and grad_norm < opts.gradient_tol:
-                converged = True
-                break
-            if feas < max(opts.feasibility_tol, 0.25 * feas_prev):
-                mults = mults - penalty * c
-                feas_prev = feas
-            else:
-                penalty *= opts.penalty_growth
-            inner_tol = max(opts.gradient_tol, inner_tol * 0.1)
-
-    theta = _from_internal(model, z)
-    lam, phi, psi = unpack(model, theta)
+    theta = _starting_point(model, opts)
+    theta[log_psi] = np.log(np.maximum(theta[log_psi] - model.psi_floor, 1e-300))
+    z, grad_norm, n_iterations = _quasi_newton(objective, theta[keep], opts)
+    _, lam, phi, psi = point(z)
     if opts.align_signs:
         lam, phi = _align_signs(model, lam, phi)
     f_min = ml_discrepancy(S, implied_covariance(lam, phi, psi))
@@ -349,19 +311,22 @@ def fit(
         phi_hat=phi,
         psi_hat=psi,
         f_min=f_min,
-        n_iterations=total_iterations,
-        converged=bool(converged),
+        n_iterations=n_iterations,
+        converged=bool(
+            grad_norm < opts.gradient_tol and np.all(np.abs(residuals) < opts.feasibility_tol)
+        ),
         constraint_residuals=residuals,
         gradient_norm=float(grad_norm),
     )
 
 
-def _quasi_newton(objective, z0, mults, penalty, opts, gtol):
+def _quasi_newton(objective, z0, opts):
     """One dense BFGS solve, restarted when the line search stalls early.
 
     A restart resets the Hessian approximation, which often recovers the
-    last decade of gradient norm after a precision-loss stop.  Returns the
-    best point seen with its gradient norm.
+    last decade of gradient norm after a precision-loss stop.  All solves
+    share ``opts.max_inner_iterations``.  Returns the best point seen with
+    its gradient norm and the iterations used.
     """
     best_z, best_grad = z0, np.inf
     z = z0
@@ -370,12 +335,11 @@ def _quasi_newton(objective, z0, mults, penalty, opts, gtol):
         res = minimize(
             objective,
             z,
-            args=(mults, penalty),
             method="BFGS",
             jac=True,
             options={
-                "gtol": gtol,
-                "maxiter": opts.max_inner_iterations,
+                "gtol": opts.gradient_tol,
+                "maxiter": opts.max_inner_iterations - nit,
                 "norm": np.inf,
             },
         )
@@ -385,6 +349,6 @@ def _quasi_newton(objective, z0, mults, penalty, opts, gtol):
         if grad < best_grad:
             best_z, best_grad = res.x, grad
         z = res.x
-        if grad < gtol or not improved:
+        if grad < opts.gradient_tol or not improved or nit >= opts.max_inner_iterations:
             break
     return best_z, best_grad, nit

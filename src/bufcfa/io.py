@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError
 from .estimation import SampleMoments
 from .fit_indices import FitReport
-from .model import CellRole, LoadingPattern, Solution
+from .model import LoadingPattern, Solution
 from .procedures import ProcedureTrace
 from .simulation import CellSummary, RepRecord
 
@@ -156,13 +156,6 @@ def _pattern_dict(pattern: LoadingPattern) -> dict:
         "q": pattern.q,
         "cells": [[cell.value for cell in row] for row in pattern.cells],
     }
-
-
-def pattern_from_dict(d: dict) -> LoadingPattern:
-    cells = np.array(
-        [[CellRole(value) for value in row] for row in d["cells"]], dtype=object
-    )
-    return LoadingPattern(cells)
 
 
 def trace_to_dict(trace: ProcedureTrace) -> dict:

@@ -101,6 +101,12 @@ class LoadingPattern:
         cells[cells == CellRole.FIXED_ZERO] = CellRole.NONSALIENT_FREE
         return LoadingPattern(cells)
 
+    def with_nonsalient_zero(self) -> "LoadingPattern":
+        """Copy of the pattern with every NONSALIENT_FREE cell fixed to zero."""
+        cells = np.array(self.cells, dtype=object)
+        cells[cells == CellRole.NONSALIENT_FREE] = CellRole.FIXED_ZERO
+        return LoadingPattern(cells)
+
     def with_cells_freed(self, freed: Sequence[tuple[int, int]]) -> "LoadingPattern":
         """Copy with the given (variable, factor) zero cells made estimable."""
         cells = np.array(self.cells, dtype=object)
@@ -338,7 +344,7 @@ class Solution:
     n_iterations: int
     converged: bool
     constraint_residuals: np.ndarray
-    gradient_norm: float
+    gradient_norm: float  # max |reduced gradient| in the solver's coordinates
 
     def __post_init__(self):
         for name in ("lambda_hat", "phi_hat", "psi_hat", "constraint_residuals"):

@@ -76,11 +76,7 @@ def icm(
     opts: FitOptions = FitOptions(),
 ) -> ProcedureTrace:
     """Plain independent-clusters fit (secondary loadings fixed to zero)."""
-    icm_pattern = LoadingPattern(
-        np.where(
-            pattern.cells == CellRole.NONSALIENT_FREE, CellRole.FIXED_ZERO, pattern.cells
-        )
-    )
+    icm_pattern = pattern.with_nonsalient_zero()
     model = _phi_spec_model(icm_pattern, phi_spec)
     solution = fit(model, None, moments, opts)
     report = build_report(model, None, moments, solution)
@@ -137,19 +133,11 @@ def multi_step(
     steps = []
     previous = None
     if initial_weights is None:
-        icm_pattern = LoadingPattern(
-            np.where(
-                pattern.cells == CellRole.NONSALIENT_FREE, CellRole.FIXED_ZERO, pattern.cells
-            )
-        )
-        icm_model = FactorModel.free_phi(icm_pattern)
-        icm_solution = fit(icm_model, None, moments, opts)
-        steps.append(
-            TraceStep("icm", icm_solution, build_report(icm_model, None, moments, icm_solution))
-        )
+        steps.append(icm(pattern, "free", moments, opts).final)
+        icm_solution = steps[0].solution
         if not icm_solution.converged:
             return ProcedureTrace("multi-step", free_pattern, tuple(steps), False)
-        weights = _salient_estimates(icm_pattern, icm_solution)
+        weights = _salient_estimates(pattern, icm_solution)
         if phi_fix is None:
             phi_fix = icm_solution.phi_hat
         previous = icm_solution

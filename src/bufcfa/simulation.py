@@ -169,6 +169,10 @@ class GridSpec:
         object.__setattr__(self, "sample_sizes", tuple(int(x) for x in self.sample_sizes))
         if any(a != 0.0 for a in self.nonsalient_sizes) and self.per_factor % 2 != 0:
             raise StructureError("per-factor count must be even for nonzero secondary sizes")
+        for name in ("salient_sizes", "nonsalient_sizes", "phi_values"):
+            values = set(getattr(self, name))
+            if len({_design_key(x) for x in values}) < len(values):
+                raise StructureError(f"{name} {sorted(values)}: values equal to 0.001 share samples")
         for l, anl, phi in itertools.product(
             self.salient_sizes, self.nonsalient_sizes, self.phi_values
         ):
@@ -252,13 +256,17 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return mean, se
 
 
+def _design_key(value: float) -> int:
+    return int(round(value * 1000))
+
+
 def _replication_seed(master_seed: int, cell: tuple, replication: int):
     l, anl, phi, n = cell
     key = (
         master_seed,
-        int(round(l * 1000)),
-        int(round(anl * 1000)),
-        int(round(phi * 1000)),
+        _design_key(l),
+        _design_key(anl),
+        _design_key(phi),
         int(n),
         replication,
     )

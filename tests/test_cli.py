@@ -76,6 +76,21 @@ class TestFitCommand:
         ])
         assert code == 0
 
+    def test_raw_txt_with_n_prefixed_names(self, tmp_path, data_dir, population):
+        # Only an "n:" line is the sample-size header; variables N1..N18 are names.
+        from bufcfa.io import write_raw_data
+        from bufcfa.simulation import draw_sample
+
+        data, _ = draw_sample(population.sigma, 400, 8)
+        raw = tmp_path / "facets.txt"
+        write_raw_data(raw, data, [f"N{i}" for i in range(1, 19)])
+        code = cli.main([
+            "fit",
+            "--model", str(data_dir / "one_step.model"),
+            "--data", str(raw),
+        ])
+        assert code == 0
+
     def test_missing_file_is_input_error(self, data_dir, capsys):
         code = cli.main([
             "fit",

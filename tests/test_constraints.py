@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bufcfa.constraints import (
+    BalanceConstraint,
     ConstraintMode,
+    ConstraintSet,
     buffered_quality_index,
     build_fixed_weight_constraints,
     build_one_step_constraints,
+    choose_pivots,
     constraint_jacobian,
-    evaluate_constraints,
     evaluate_lambda,
     swap_members,
 )
 from bufcfa.errors import StructureError
-from bufcfa.model import FactorModel, pack
+from bufcfa.model import FactorModel, pack, unpack
 from bufcfa.simulation import balanced_population, block_pattern
 
 
@@ -26,8 +28,8 @@ def finite_difference_jacobian(cset, theta, model, h=1e-6):
         up[k] += h
         down[k] -= h
         jac[:, k] = (
-            evaluate_constraints(cset, up, model).values
-            - evaluate_constraints(cset, down, model).values
+            evaluate_lambda(cset, unpack(model, up)[0])
+            - evaluate_lambda(cset, unpack(model, down)[0])
         ) / (2 * h)
     return jac
 
@@ -110,8 +112,8 @@ class TestEvaluation:
         model = FactorModel.free_phi(free_pattern)
         theta = pack(model, population.lam, population.phi, population.psi)
         cset = build_one_step_constraints(free_pattern)
-        residual = evaluate_constraints(cset, theta, model)
-        assert residual.max_abs < 1e-12
+        residual = evaluate_lambda(cset, unpack(model, theta)[0])
+        assert np.max(np.abs(residual)) < 1e-12
 
 
 class TestJacobian:
@@ -163,6 +165,60 @@ class TestJacobian:
             jac = constraint_jacobian(cset, theta, model)
             s = np.linalg.svd(jac, compute_uv=False)
             assert s[len(cset) - 1] > 1e-8
+
+
+class TestPivots:
+    @pytest.mark.parametrize("mode", ["fixed", "self"])
+    @pytest.mark.parametrize("swaps", [[], [(4, 5), (4, 9)], [(0, 17), (3, 8)]])
+    def test_every_built_set_has_exact_pivots(self, free_pattern, population, mode, swaps):
+        model = FactorModel.free_phi(free_pattern)
+        if mode == "fixed":
+            weights = np.linspace(0.5, 0.7, 18)
+            cset = swap_members(build_fixed_weight_constraints(free_pattern, weights), swaps)
+        else:
+            cset = swap_members(build_one_step_constraints(free_pattern), swaps)
+        pivots = choose_pivots(cset, model)
+        theta = pack(model, population.lam, population.phi, population.psi)
+        jac = constraint_jacobian(cset, theta, model)
+        # Each pivot column is nonzero in its own row only: the pivot enters
+        # no other constraint.
+        block = jac[:, pivots.params]
+        assert np.all(np.diag(block) != 0.0)
+        assert np.count_nonzero(block) == len(cset)
+        # Solving each constraint for its pivot leaves every residual at zero.
+        lam = population.lam.copy()
+        lam[pivots.cells] = 0.0
+        lam[pivots.cells] = -evaluate_lambda(cset, lam) / pivots.weights(lam)
+        assert np.max(np.abs(evaluate_lambda(cset, lam))) < 1e-15
+
+    def test_fixed_weights_take_largest_weight(self, free_pattern):
+        weights = np.full(18, 0.6)
+        weights[3] = -0.9
+        cset = build_fixed_weight_constraints(free_pattern, weights)
+        pivots = choose_pivots(cset, FactorModel.free_phi(free_pattern))
+        rows, cols = pivots.cells
+        assert rows[0] == 3 and cols[0] == 1
+        assert pivots.fixed_weights[0] == -0.9
+
+    def test_shared_weight_cell_is_not_a_pivot(self):
+        # x1 sits in both constraints: its loading on factor 2 is a member of
+        # the first and a self-weight of the second, and vice versa.
+        model = FactorModel.free_phi(block_pattern(2, 2, "free"))
+        cset = ConstraintSet(
+            ConstraintMode.SELF_WEIGHTED,
+            (BalanceConstraint(0, 1, (0, 1)), BalanceConstraint(1, 0, (0, 2, 3))),
+        )
+        rows, cols = choose_pivots(cset, model).cells
+        assert list(zip(rows.tolist(), cols.tolist())) == [(1, 1), (2, 0)]
+
+    def test_zero_weights_and_fixed_cells_are_skipped(self, free_pattern, icm_pattern):
+        weights = np.full(18, 0.6)
+        weights[0] = 0.0
+        cset = build_fixed_weight_constraints(free_pattern, weights)
+        rows, _ = choose_pivots(cset, FactorModel.free_phi(free_pattern)).cells
+        assert 0 not in rows
+        with pytest.raises(StructureError, match="constraint 0"):
+            choose_pivots(cset, FactorModel.free_phi(icm_pattern))
 
 
 class TestQualityIndex:

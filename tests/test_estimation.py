@@ -1,7 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bufcfa.constraints import build_fixed_weight_constraints, build_one_step_constraints
+from bufcfa.constraints import (
+    BalanceConstraint,
+    ConstraintMode,
+    ConstraintSet,
+    build_fixed_weight_constraints,
+    build_one_step_constraints,
+    choose_pivots,
+    swap_members,
+)
 from bufcfa.errors import NumericalError, StructureError
 from bufcfa.estimation import FitOptions, SampleMoments, fit, ml_discrepancy, ml_gradient
 from bufcfa.model import (
@@ -14,6 +24,31 @@ from bufcfa.model import (
 )
 from bufcfa.simulation import balanced_population, block_pattern
 from nullspace_oracle import elimination_optimum
+
+
+@pytest.fixture(scope="module")
+def swapped_setup(population_moments, icm_pattern, free_pattern):
+    """Acceptance criterion 4: fixed phi .304, weights and starts from the
+    ICM fit, membership swapped x5<->x6 then x5<->x10."""
+    icm_solution = fit(FactorModel.free_phi(icm_pattern), None, population_moments)
+    weights = [icm_solution.lambda_hat[i, icm_pattern.salient_factor(i)] for i in range(18)]
+    cset = swap_members(build_fixed_weight_constraints(free_pattern, weights), [(4, 5), (4, 9)])
+    opts = FitOptions().with_starts(
+        icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+    )
+    return FactorModel.fixed_phi(free_pattern, 0.304), cset, opts
+
+
+def reversed_members(cset):
+    return ConstraintSet(
+        cset.mode,
+        tuple(
+            BalanceConstraint(
+                c.block, c.unwanted, c.members[::-1], c.weights and c.weights[::-1]
+            )
+            for c in cset.constraints
+        ),
+    )
 
 
 def two_var_model():
@@ -255,6 +290,53 @@ class TestFit:
             FitOptions(gradient_tol=0.0)
         with pytest.raises(StructureError):
             FitOptions(feasibility_tol=-1.0)
+
+    def test_iteration_cap_bounds_whole_fit(self, population_moments, swapped_setup):
+        model, cset, opts = swapped_setup
+        capped = fit(model, cset, population_moments, dataclasses.replace(opts, max_inner_iterations=5))
+        assert capped.n_iterations <= 5
+        assert not capped.converged
+        assert capped.max_constraint_residual <= 1e-12
+
+    @pytest.mark.parametrize("case", ["one-step population", "criterion-4 swapped"])
+    def test_member_order_changes_pivot_not_result(
+        self, case, population_moments, free_pattern, swapped_setup
+    ):
+        if case == "one-step population":
+            model = FactorModel.free_phi(free_pattern)
+            cset, opts = build_one_step_constraints(free_pattern), FitOptions()
+        else:
+            model, cset, opts = swapped_setup
+            # The ICM weights tie up to rounding noise, which would pick the
+            # same largest-|weight| member in either order; an exact tie
+            # makes the reversal move every pivot.
+            cset = ConstraintSet(
+                cset.mode,
+                tuple(
+                    dataclasses.replace(c, weights=tuple(np.round(c.weights, 6)))
+                    for c in cset.constraints
+                ),
+            )
+        flipped = reversed_members(cset)
+        assert not np.any(choose_pivots(cset, model).params == choose_pivots(flipped, model).params)
+        a = fit(model, cset, population_moments, opts)
+        b = fit(model, flipped, population_moments, opts)
+        assert a.converged and b.converged
+        assert a.f_min == pytest.approx(b.f_min, abs=1e-9)
+        assert np.max(np.abs(a.lambda_hat - b.lambda_hat)) < 1e-6
+
+    def test_set_without_pivot_rejected(self, population_moments, free_pattern):
+        # Both constraints balance the same two cells, so neither has a cell
+        # of its own to solve for.
+        cset = ConstraintSet(
+            ConstraintMode.FIXED_WEIGHTS,
+            (
+                BalanceConstraint(0, 1, (0, 1), (0.6, 0.6)),
+                BalanceConstraint(0, 1, (0, 1), (0.6, -0.6)),
+            ),
+        )
+        with pytest.raises(StructureError, match="constraint 0 .block 0, unwanted factor 1"):
+            fit(FactorModel.free_phi(free_pattern), cset, population_moments)
 
     def test_misplaced_membership_regression(self, population, population_moments, icm_pattern, free_pattern):
         # Pins the optimum under deliberately swapped constraint membership

@@ -137,3 +137,10 @@ class TestResultDocuments:
     def test_unsupported_payload(self, tmp_path):
         with pytest.raises(InputError):
             write_result({"kind": "other"}, tmp_path / "x.json")
+
+
+def test_star_import_keeps_submodules_out():
+    namespace = {}
+    exec("import io\nfrom bufcfa import *", namespace)
+    assert namespace["io"].StringIO().getvalue() == ""
+    assert "fit" in namespace and "estimation" not in namespace

@@ -20,6 +20,19 @@ def icm_population_moments():
 
 
 class TestOneStep:
+    def test_converges_on_sample_that_stalled(self, data_dir):
+        # One of 300 n = 300 samples of the shipped population on which the
+        # fit once ended feasible but one decade short of its gradient tolerance.
+        from bufcfa.io import read_correlation_matrix
+
+        sigma = read_correlation_matrix(data_dir / "population_corr.dat").S
+        data = np.random.default_rng([91, 1, 0]).standard_normal((300, 18))
+        data = data @ np.linalg.cholesky(sigma).T
+        R = np.corrcoef(data, rowvar=False)
+        trace = one_step(block_pattern(3, 6, "zero"), "free", SampleMoments((R + R.T) / 2, 300))
+        assert trace.converged
+        assert trace.final.solution.max_constraint_residual <= 1e-12
+
     def test_population_recovery(self, population, population_moments, icm_pattern):
         trace = one_step(icm_pattern, "free", population_moments)
         assert trace.converged

@@ -147,6 +147,20 @@ class TestGrid:
         with pytest.raises(StructureError):
             GridSpec((0.6,), (0.1,), (0.0,), (300,), per_factor=5)
 
+    def test_colliding_seed_keys_rejected(self):
+        # Seeds key each design value to 0.001, so these two would share samples.
+        with pytest.raises(StructureError, match="nonsalient_sizes"):
+            GridSpec((0.6,), (0.1001, 0.1004), (0.0,), (300,))
+        with pytest.raises(StructureError, match="phi_values"):
+            GridSpec((0.6,), (0.0,), (0.3, 0.3004), (300,))
+        GridSpec((0.6,), (0.1, 0.101), (0.0,), (300,))
+
+    def test_replication_streams_are_pinned(self):
+        from bufcfa.simulation import _replication_seed
+
+        seed = _replication_seed(20240501, (0.6, 0.1, 0.3, 900), 7)
+        assert seed.generate_state(2).tolist() == [1845876177, 638730206]
+
     def test_cells_enumeration(self):
         grid = GridSpec((0.6,), (0.0, 0.2), (0.0,), (300, 900), replications=2)
         assert len(grid.cells) == 4
