@@ -5,7 +5,10 @@ The discrepancy is the standard ML fit function
 each balance constraint for one loading, so scipy's dense BFGS runs over
 the other parameters with every iterate feasible.  Uniquenesses are kept
 above their floor through a log transform of the optimization variable,
-never by clamping.
+never by clamping.  BFGS starts from the inverse of the expected
+information (the Fisher-scoring matrix of F) in the solver's coordinates,
+or from the identity where that matrix is not positive definite; if its
+line search stalls, Fisher-scoring steps finish the fit.
 """
 
 from __future__ import annotations
@@ -77,12 +80,12 @@ class FitOptions:
 
     ``perturbation`` nudges zero-started secondary loadings off the exactly
     balanced start (alternating signs within each constraint block, scaled
-    by a seeded random factor); balanced constraints make the unperturbed
-    start a stationary saddle the quasi-Newton step cannot leave.
+    by a seeded random factor).  Sample fits have not been seen to need
+    it: with and without the nudge they reach the same optimum.
 
-    ``max_inner_iterations`` bounds the BFGS iterations of the whole fit, so
-    a restart gets only those left.  ``feasibility_tol`` bounds the
-    constraint residuals of a converged fit.
+    ``max_inner_iterations`` bounds the iterations of the whole fit: BFGS
+    iterations plus any finishing scoring steps.  ``feasibility_tol``
+    bounds the constraint residuals of a converged fit.
     """
 
     gradient_tol: float = 1e-7
@@ -166,6 +169,38 @@ def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndar
     if parts is None:
         raise NumericalError("model-implied matrix is not positive definite")
     return parts[1]
+
+
+def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndarray]:
+    """Expected Hessian of F in packed parameters, None where Sigma is not PD.
+
+    ``H[a, b] = tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b)``, the Fisher-scoring
+    matrix, which equals the Hessian of F wherever S = Sigma.  Every
+    derivative has the form ``x y' + y x'``: ``x = e_i, y = (Lambda Phi)[:, j]``
+    for a loading, ``x = l_a, y = l_b`` for a correlation and
+    ``x = e_i, y = e_i / 2`` for a uniqueness.  With ``P = Sigma^-1`` that
+    makes ``H[a, b] = 2 (x_a'P x_b  y_a'P y_b + x_a'P y_b  y_a'P x_b)``.
+    """
+    p = lam.shape[0]
+    try:
+        sig_inv = cho_solve(cho_factor(implied_covariance(lam, phi, psi), lower=True), np.eye(p))
+    except np.linalg.LinAlgError:
+        return None
+    phis = slice(model.n_free_loadings, model.psi_offset)
+    psis = np.arange(model.psi_offset, model.n_parameters)
+    rows, cols = np.array(model.free_loading_cells, dtype=int).reshape(-1, 2).T
+    a, b = np.array(model.free_phi_pairs, dtype=int).reshape(-1, 2).T
+    x = np.zeros((p, model.n_parameters))
+    y = np.zeros((p, model.n_parameters))
+    x[rows, np.arange(rows.size)] = 1.0
+    y[:, :rows.size] = (lam @ phi)[:, cols]
+    x[:, phis] = lam[:, a]
+    y[:, phis] = lam[:, b]
+    x[np.arange(p), psis] = 1.0
+    y[np.arange(p), psis] = 0.5
+    px, py = sig_inv @ x, sig_inv @ y
+    x_px, y_py, x_py = x.T @ px, y.T @ py, x.T @ py
+    return 2.0 * (x_px * y_py + x_py * x_py.T)
 
 
 def _starting_point(model: FactorModel, opts: FitOptions) -> np.ndarray:
@@ -298,9 +333,24 @@ def fit(
         grad[log_psi] *= theta[log_psi] - model.psi_floor
         return f, grad[keep]
 
+    def information(z):
+        """Expected information in z, None where Sigma is not PD."""
+        theta, lam, phi, psi = point(z)
+        info = _expected_information(model, lam, phi, psi)
+        if info is None:
+            return None
+        # T = d theta / d z: the identity on kept parameters, psi - floor on
+        # log-psi, and on each pivot row -J[r, keep] / J[r, pivot].
+        T = np.eye(model.n_parameters)[:, keep]
+        T[log_psi] *= (theta[log_psi] - model.psi_floor)[:, None]
+        if m:
+            jac = constraint_jacobian(constraints, theta, model)
+            T[pivots.params] = -jac[:, keep] / jac[np.arange(m), pivots.params][:, None]
+        return T.T @ info @ T
+
     theta = _starting_point(model, opts)
     theta[log_psi] = np.log(np.maximum(theta[log_psi] - model.psi_floor, 1e-300))
-    z, grad_norm, n_iterations = _quasi_newton(objective, theta[keep], opts)
+    z, grad_norm, n_iterations = _quasi_newton(objective, information, theta[keep], opts)
     _, lam, phi, psi = point(z)
     if opts.align_signs:
         lam, phi = _align_signs(model, lam, phi)
@@ -320,35 +370,50 @@ def fit(
     )
 
 
-def _quasi_newton(objective, z0, opts):
-    """One dense BFGS solve, restarted when the line search stalls early.
+def _quasi_newton(objective, information, z0, opts):
+    """One dense BFGS solve, then Fisher-scoring steps if it stalled.
 
-    A restart resets the Hessian approximation, which often recovers the
-    last decade of gradient norm after a precision-loss stop.  All solves
-    share ``opts.max_inner_iterations``.  Returns the best point seen with
-    its gradient norm and the iterations used.
+    BFGS starts from the inverse of ``information`` at ``z0``, or from the
+    identity where that is not positive definite.  Near the optimum the
+    rounding error of F can stall its line search a hair above
+    ``opts.gradient_tol``.  Scoring steps ``z - information(z)^-1 g`` need
+    no function values; each is taken only while it keeps Sigma positive
+    definite and halves the gradient norm.  BFGS iterations and scoring
+    steps share ``opts.max_inner_iterations``.  Returns the final point
+    with its gradient norm and the iterations used.
     """
-    best_z, best_grad = z0, np.inf
-    z = z0
-    nit = 0
-    for _ in range(3):
-        res = minimize(
-            objective,
-            z,
-            method="BFGS",
-            jac=True,
-            options={
-                "gtol": opts.gradient_tol,
-                "maxiter": opts.max_inner_iterations - nit,
-                "norm": np.inf,
-            },
-        )
-        nit += res.nit
-        grad = float(np.max(np.abs(res.jac)))
-        improved = grad < best_grad * 0.5
-        if grad < best_grad:
-            best_z, best_grad = res.x, grad
-        z = res.x
-        if grad < opts.gradient_tol or not improved or nit >= opts.max_inner_iterations:
+    res = minimize(
+        objective,
+        z0,
+        method="BFGS",
+        jac=True,
+        options={
+            "gtol": opts.gradient_tol,
+            "maxiter": opts.max_inner_iterations,
+            "norm": np.inf,
+            "hess_inv0": _pd_inverse(information(z0)),
+        },
+    )
+    z, grad, nit = res.x, res.jac, res.nit
+    while np.max(np.abs(grad)) >= opts.gradient_tol and nit < opts.max_inner_iterations:
+        inverse = _pd_inverse(information(z))
+        if inverse is None:
             break
-    return best_z, best_grad, nit
+        step = z - inverse @ grad
+        f, step_grad = objective(step)
+        if f >= _INFEASIBLE_F or not np.max(np.abs(step_grad)) < 0.5 * np.max(np.abs(grad)):
+            break
+        z, grad, nit = step, step_grad, nit + 1
+    return z, float(np.max(np.abs(grad))), nit
+
+
+def _pd_inverse(matrix: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Exactly symmetric inverse of a positive definite matrix, else None."""
+    if matrix is None:
+        return None
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    inverse = np.linalg.inv(matrix)
+    return (inverse + inverse.T) / 2.0

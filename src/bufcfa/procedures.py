@@ -7,7 +7,7 @@ inspectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -189,10 +189,13 @@ def specification_search(
     """Independent-clusters fit plus modification-index-guided freeing.
 
     The index of each fixed-zero cell is the exact chi-square drop from
-    refitting with that single cell freed.  Per factor, at most
-    ``max_freed_per_factor`` cells with index above ``mi_threshold`` are
-    freed (largest first; ties break by factor then variable order), and
-    the final model refits them simultaneously.
+    refitting with that single cell freed; each refit starts from the
+    independent-clusters estimates with the caller's options and no nudge.
+    Per factor, at most ``max_freed_per_factor`` cells with index above
+    ``mi_threshold`` are freed (largest first; ties break by factor then
+    variable order), and the final model refits them simultaneously.  The
+    trace is converged only when the independent-clusters fit, every refit
+    and the final fit converged.
     """
     if moments.n is None:
         raise StructureError("specification search requires a sample size")
@@ -210,18 +213,17 @@ def specification_search(
         for j in range(pattern.q)
         if pattern.cells[i, j] is CellRole.FIXED_ZERO
     ]
-    refit_opts = FitOptions(
-        gradient_tol=opts.gradient_tol,
-        perturbation=0.0,
-        start_lambda=icm_solution.lambda_hat,
-        start_phi=icm_solution.phi_hat,
-        start_psi=icm_solution.psi_hat,
+    icm_starts = opts.with_starts(
+        icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     )
+    refit_opts = replace(icm_starts, perturbation=0.0)
     scale = moments.n - 1
     mi_table = []
+    refits_converged = True
     for (i, j) in zero_cells:
         freed_model = FactorModel.free_phi(pattern.with_cells_freed([(i, j)]))
         freed_solution = fit(freed_model, None, moments, refit_opts)
+        refits_converged = refits_converged and freed_solution.converged
         drop = scale * max(icm_solution.f_min - freed_solution.f_min, 0.0)
         mi_table.append((i, j, float(drop)))
 
@@ -236,10 +238,7 @@ def specification_search(
 
     if chosen:
         final_model = FactorModel.free_phi(pattern.with_cells_freed(chosen))
-        final_opts = opts.with_starts(
-            icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
-        )
-        final_solution = fit(final_model, None, moments, final_opts)
+        final_solution = fit(final_model, None, moments, icm_starts)
         final_report = build_report(final_model, None, moments, final_solution)
     else:
         final_model, final_solution, final_report = icm_model, icm_solution, steps[0].report
@@ -248,6 +247,6 @@ def specification_search(
         "search",
         final_model.pattern,
         tuple(steps),
-        icm_solution.converged and final_solution.converged,
+        refits_converged and final_solution.converged,
         mi_table=tuple(mi_table),
     )

@@ -167,6 +167,8 @@ class GridSpec:
         object.__setattr__(self, "nonsalient_sizes", tuple(float(x) for x in self.nonsalient_sizes))
         object.__setattr__(self, "phi_values", tuple(float(x) for x in self.phi_values))
         object.__setattr__(self, "sample_sizes", tuple(int(x) for x in self.sample_sizes))
+        if self.replications < 1:
+            raise StructureError(f"replications must be at least 1, got {self.replications}")
         if any(a != 0.0 for a in self.nonsalient_sizes) and self.per_factor % 2 != 0:
             raise StructureError("per-factor count must be even for nonzero secondary sizes")
         for name in ("salient_sizes", "nonsalient_sizes", "phi_values"):

@@ -167,6 +167,30 @@ class TestSearchCommand:
         assert doc["procedure"] == "search"
         assert doc["mi_table"] is not None
 
+    def test_unconverged_refit_exits_2(self, data_dir, monkeypatch):
+        import dataclasses
+
+        import bufcfa.procedures as procedures
+
+        calls = []
+        real_fit = procedures.fit
+
+        def second_refit_fails(model, constraints, moments, opts):
+            solution = real_fit(model, constraints, moments, opts)
+            calls.append(model)
+            if len(calls) == 3:
+                return dataclasses.replace(solution, converged=False)
+            return solution
+
+        monkeypatch.setattr(procedures, "fit", second_refit_fails)
+        code = cli.main([
+            "search",
+            "--model", str(data_dir / "one_step.model"),
+            "--data", str(data_dir / "population_corr.dat"),
+            "--threshold", "5",
+        ])
+        assert code == 2
+
 
 class TestSimulateCommand:
     def test_tiny_grid(self, tmp_path, capsys):
@@ -190,3 +214,20 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--grid", str(grid), "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert "missing required key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_nonpositive_reps_flag_is_input_error(self, tmp_path, capsys, reps):
+        grid = tmp_path / "tiny.grid"
+        grid.write_text(GRID_TEXT)
+        code = cli.main([
+            "simulate", "--grid", str(grid), "--reps", reps, "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 1
+        assert "replications must be at least 1" in capsys.readouterr().err
+
+    def test_zero_replications_in_document_is_input_error(self, tmp_path, capsys):
+        grid = tmp_path / "zero.grid"
+        grid.write_text(GRID_TEXT + "replications: 0\n")
+        code = cli.main(["simulate", "--grid", str(grid), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert "replications must be at least 1" in capsys.readouterr().err

@@ -10,8 +10,10 @@ from bufcfa.constraints import (
     build_fixed_weight_constraints,
     build_one_step_constraints,
     choose_pivots,
+    evaluate_lambda,
     swap_members,
 )
+from bufcfa import estimation
 from bufcfa.errors import NumericalError, StructureError
 from bufcfa.estimation import FitOptions, SampleMoments, fit, ml_discrepancy, ml_gradient
 from bufcfa.model import (
@@ -380,3 +382,138 @@ class TestFit:
             srmr(population.sigma, implied_covariance(oracle.lambda_hat, model.phi_fixed, oracle.psi_hat)),
             abs=1e-4,
         )
+
+
+def central_difference_hessian(gradient, x, h=1e-5):
+    """Hessian from central differences of an analytic gradient."""
+    columns = []
+    for k in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        columns.append((gradient(up) - gradient(down)) / (2 * h))
+    hessian = np.array(columns).T
+    return (hessian + hessian.T) / 2.0
+
+
+def random_loadings(pattern, rng):
+    """Salients in [.5, .8] and secondaries in [-.2, .2] on the free cells."""
+    lam = np.zeros((pattern.p, pattern.q))
+    lam[pattern.cells == CellRole.SALIENT_FREE] = rng.uniform(0.5, 0.8, size=pattern.p)
+    secondary = pattern.cells == CellRole.NONSALIENT_FREE
+    lam[secondary] = rng.uniform(-0.2, 0.2, size=int(secondary.sum()))
+    return lam
+
+
+class TestExpectedInformation:
+    """At an exact-fit point S = Sigma(theta) the gradient vanishes, so the
+    expected information equals the Hessian of F."""
+
+    @pytest.mark.parametrize("case", ["icm free phi", "fixed phi free secondaries"])
+    def test_equals_hessian_at_exact_fit(self, case, icm_pattern, free_pattern):
+        rng = np.random.default_rng(31)
+        if case == "icm free phi":
+            model = FactorModel.free_phi(icm_pattern)
+            phi = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
+        else:
+            model = FactorModel.fixed_phi(free_pattern, 0.3)
+            phi = model.phi_fixed
+        lam = random_loadings(model.pattern, rng)
+        psi = rng.uniform(0.3, 0.6, size=model.p)
+        S = implied_covariance(lam, phi, psi)
+        theta = pack(model, lam, phi, psi)
+        info = estimation._expected_information(model, *unpack(model, theta))
+        hessian = central_difference_hessian(lambda t: ml_gradient(model, t, S), theta)
+        assert info.shape == (model.n_parameters, model.n_parameters)
+        assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
+
+    def test_equals_hessian_in_solver_coordinates(self, free_pattern, monkeypatch):
+        # Self-weighted constraints: the map from the solver's z to theta
+        # solves every pivot and log-transforms psi.
+        model = FactorModel.free_phi(free_pattern)
+        cset = build_one_step_constraints(free_pattern)
+        rng = np.random.default_rng(32)
+        lam = random_loadings(free_pattern, rng)
+        for c in cset.constraints:
+            # Make each block sum exactly zero by solving its last member.
+            members = list(c.members)
+            w = 1.0 + lam[members, c.block] ** 2
+            last = members[-1]
+            lam[last, c.unwanted] = -(w[:-1] @ lam[members[:-1], c.unwanted]) / w[-1]
+        assert np.max(np.abs(evaluate_lambda(cset, lam))) < 1e-15
+        phi = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
+        psi = rng.uniform(0.3, 0.6, size=model.p)
+        S = implied_covariance(lam, phi, psi)
+
+        captured = {}
+        solve = estimation._quasi_newton
+
+        def capture(objective, information, z0, opts):
+            captured.update(objective=objective, information=information, z0=z0)
+            return solve(objective, information, z0, opts)
+
+        monkeypatch.setattr(estimation, "_quasi_newton", capture)
+        opts = FitOptions(perturbation=0.0).with_starts(lam, phi, psi)
+        fit(model, cset, SampleMoments(S), opts)
+        objective, z0 = captured["objective"], captured["z0"]
+        assert z0.size == model.n_parameters - len(cset)
+        assert np.max(np.abs(objective(z0)[1])) < 1e-12
+        info = captured["information"](z0)
+        hessian = central_difference_hessian(lambda z: objective(z)[1], z0)
+        assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
+
+    def test_none_where_sigma_is_not_positive_definite(self, icm_pattern):
+        model = FactorModel.free_phi(icm_pattern)
+        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
+        phi = np.full((3, 3), 1.5)
+        np.fill_diagonal(phi, 1.0)
+        assert estimation._expected_information(model, lam, phi, np.full(18, 0.01)) is None
+
+    def test_identity_fallback_only_without_positive_definite_information(self):
+        assert estimation._pd_inverse(None) is None
+        assert estimation._pd_inverse(np.diag([1.0, -1.0])) is None
+        inverse = estimation._pd_inverse(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        assert np.array_equal(inverse, inverse.T)
+        assert np.allclose(inverse @ np.array([[4.0, 1.0], [1.0, 3.0]]), np.eye(2))
+
+    def test_every_solve_starts_from_the_information(
+        self, population_moments, free_pattern, monkeypatch
+    ):
+        starts = []
+        minimize = estimation.minimize
+
+        def record(*args, **kwargs):
+            starts.append(kwargs["options"]["hess_inv0"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", record)
+        model = FactorModel.free_phi(free_pattern)
+        solution = fit(model, build_one_step_constraints(free_pattern), population_moments)
+        assert solution.converged
+        assert starts
+        for start in starts:
+            assert start is not None
+            np.linalg.cholesky(start)
+
+    def test_scoring_steps_finish_a_stalled_solve(self, population, free_pattern, monkeypatch):
+        # Near the optimum F's rounding error can stall the line search; a
+        # solve cut off after 3 BFGS iterations stands in for that stall.
+        from bufcfa.simulation import draw_sample
+
+        model = FactorModel.free_phi(free_pattern)
+        cset = build_one_step_constraints(free_pattern)
+        moments = draw_sample(population.sigma, 300, 5)[1]
+        reference = fit(model, cset, moments)
+        minimize = estimation.minimize
+
+        def stall(*args, **kwargs):
+            result = minimize(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 3}})
+            assert np.max(np.abs(result.jac)) > 1e-5
+            return result
+
+        monkeypatch.setattr(estimation, "minimize", stall)
+        finished = fit(model, cset, moments)
+        assert finished.converged
+        assert finished.n_iterations > 3
+        assert finished.f_min == pytest.approx(reference.f_min, abs=1e-9)
+        assert np.max(np.abs(finished.lambda_hat - reference.lambda_hat)) < 1e-5

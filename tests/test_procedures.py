@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import bufcfa.procedures as procedures
 from bufcfa.errors import StructureError
-from bufcfa.estimation import SampleMoments
-from bufcfa.model import CellRole
+from bufcfa.estimation import FitOptions, SampleMoments
+from bufcfa.model import CellRole, LoadingPattern
 from bufcfa.procedures import icm, multi_step, one_step, specification_search
 from bufcfa.simulation import balanced_population, block_pattern
 
@@ -196,6 +199,55 @@ class TestSpecificationSearch:
         with pytest.raises(StructureError, match="sample size"):
             specification_search(icm_pattern, population_moments)
 
+    def test_refits_inherit_callers_options(self, population, icm_pattern, monkeypatch):
+        received = []
+        real_fit = procedures.fit
+
+        def record(model, constraints, moments, opts):
+            received.append(opts)
+            return real_fit(model, constraints, moments, opts)
+
+        monkeypatch.setattr(procedures, "fit", record)
+        caller = FitOptions(
+            max_inner_iterations=500, align_signs=False, feasibility_tol=1e-6, psi_start=0.4
+        )
+        trace = specification_search(
+            icm_pattern, SampleMoments(population.sigma, n=500), caller,
+            mi_threshold=REFIT_MI_THRESHOLD,
+        )
+        icm_solution = trace.steps[0].solution
+        refits = received[1:1 + len(trace.mi_table)]
+        assert len(refits) == 36
+        for opts in refits:
+            assert opts.max_inner_iterations == 500
+            assert opts.align_signs is False
+            assert opts.feasibility_tol == 1e-6
+            assert opts.psi_start == 0.4
+            assert opts.perturbation == 0.0
+            assert opts.start_lambda is icm_solution.lambda_hat
+            assert opts.start_psi is icm_solution.psi_hat
+        assert received[-1].max_inner_iterations == 500
+        assert received[-1].perturbation == caller.perturbation
+
+    def test_refit_nonconvergence_is_not_silent(self, population, icm_pattern, monkeypatch):
+        calls = []
+        real_fit = procedures.fit
+
+        def third_refit_fails(model, constraints, moments, opts):
+            solution = real_fit(model, constraints, moments, opts)
+            calls.append(model)
+            if len(calls) == 4:
+                return dataclasses.replace(solution, converged=False)
+            return solution
+
+        monkeypatch.setattr(procedures, "fit", third_refit_fails)
+        trace = specification_search(
+            icm_pattern, SampleMoments(population.sigma, n=500),
+            mi_threshold=REFIT_MI_THRESHOLD,
+        )
+        assert all(step.solution.converged for step in trace.steps)
+        assert not trace.converged
+
     def test_deterministic_tie_break(self, population):
         # the symmetric population makes indices tie within half-blocks;
         # selection must follow (factor, then variable) order
@@ -212,3 +264,58 @@ class TestIcmProcedure:
         assert len(trace.steps) == 1
         assert trace.procedure == "icm"
         assert trace.converged
+
+
+@pytest.fixture(scope="module")
+def sample_moments(population):
+    from bufcfa.simulation import draw_sample
+
+    return draw_sample(population.sigma, 300, 2024)[1]
+
+
+def standardized(solution):
+    """Loadings and uniquenesses rescaled to unit model-implied variances."""
+    lam, phi, psi = solution.lambda_hat, solution.phi_hat, solution.psi_hat
+    scale = np.sqrt(np.einsum("ij,jk,ik->i", lam, phi, lam) + psi)
+    return lam / scale[:, None], psi / scale**2
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("procedure", [icm, one_step])
+    def test_permuting_variables_and_factors(self, procedure, sample_moments, icm_pattern):
+        rng = np.random.default_rng(41)
+        rows = rng.permutation(18)
+        cols = np.array([2, 0, 1])
+        permuted = LoadingPattern(icm_pattern.cells[np.ix_(rows, cols)])
+        moments = SampleMoments(sample_moments.S[np.ix_(rows, rows)], n=sample_moments.n)
+        a = procedure(icm_pattern, "free", sample_moments).final.solution
+        b = procedure(permuted, "free", moments).final.solution
+        assert a.converged and b.converged
+        assert b.f_min == pytest.approx(a.f_min, abs=1e-9)
+        assert np.max(np.abs(b.lambda_hat - a.lambda_hat[np.ix_(rows, cols)])) < 1e-5
+        assert np.max(np.abs(b.phi_hat - a.phi_hat[np.ix_(cols, cols)])) < 1e-5
+        assert np.max(np.abs(b.psi_hat - a.psi_hat[rows])) < 1e-5
+
+    @pytest.mark.parametrize("procedure", ["icm", "search"])
+    def test_rescaling_variables(self, procedure, sample_moments, icm_pattern):
+        # Balance constraints weight raw loadings, so only the unconstrained
+        # procedures are invariant under D S D.
+        d = np.random.default_rng(42).uniform(0.5, 2.0, size=18)
+        rescaled = SampleMoments(d[:, None] * sample_moments.S * d, n=sample_moments.n)
+        if procedure == "icm":
+            a = icm(icm_pattern, "free", sample_moments)
+            b = icm(icm_pattern, "free", rescaled)
+        else:
+            a = specification_search(icm_pattern, sample_moments, mi_threshold=REFIT_MI_THRESHOLD)
+            b = specification_search(icm_pattern, rescaled, mi_threshold=REFIT_MI_THRESHOLD)
+            assert np.array_equal(a.pattern.cells, b.pattern.cells)
+            assert np.allclose([mi for *_, mi in b.mi_table], [mi for *_, mi in a.mi_table],
+                               rtol=0, atol=1e-5)
+        sa, sb = a.final.solution, b.final.solution
+        assert a.converged and b.converged
+        assert sb.f_min == pytest.approx(sa.f_min, abs=1e-9)
+        lam_a, psi_a = standardized(sa)
+        lam_b, psi_b = standardized(sb)
+        assert np.max(np.abs(lam_b - lam_a)) < 1e-5
+        assert np.max(np.abs(psi_b - psi_a)) < 1e-5
+        assert np.max(np.abs(sb.phi_hat - sa.phi_hat)) < 1e-5

@@ -147,6 +147,11 @@ class TestGrid:
         with pytest.raises(StructureError):
             GridSpec((0.6,), (0.1,), (0.0,), (300,), per_factor=5)
 
+    def test_nonpositive_replications_rejected(self):
+        for reps in (0, -1):
+            with pytest.raises(StructureError, match="replications"):
+                GridSpec((0.6,), (0.0,), (0.0,), (300,), replications=reps)
+
     def test_colliding_seed_keys_rejected(self):
         # Seeds key each design value to 0.001, so these two would share samples.
         with pytest.raises(StructureError, match="nonsalient_sizes"):
