@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,7 @@ def _run_document(doc: ModelSpecDocument, moments, opts: FitOptions) -> Procedur
         opts,
         mi_threshold=doc.mi_threshold,
         max_freed_per_factor=doc.max_freed_per_factor,
+        phi_spec=doc.phi_value(),
     )
 
 
@@ -140,6 +142,7 @@ def _cmd_search(args) -> int:
         FitOptions(perturbation_seed=args.seed),
         mi_threshold=args.threshold,
         max_freed_per_factor=args.max_per_factor,
+        phi_spec=doc.phi_value(),
     )
     if args.out:
         write_result(trace, args.out)
@@ -222,8 +225,18 @@ def _cmd_quality(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, since 2 means non-convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process."""
+    parser = _Parser(
         prog="bufcfa",
         description="Factor analysis with balance constraints on secondary loadings",
     )

@@ -12,19 +12,23 @@ Constraints are linear (fixed weights) or mildly nonlinear (self-weighted)
 in the free loadings; residuals are the plain weighted sums, whose zero set
 matches the squared form some modeling languages require while keeping the
 Jacobian full-rank at feasible points.
+
+A set compiles once, on first use, into flat per-member arrays
+(:attr:`ConstraintSet.terms`): the residuals are then one ``np.bincount``
+over them, and the Jacobian one scatter into the model's packed positions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import StructureError
-from .model import FactorModel, LoadingPattern, unpack
+from .model import FactorModel, LoadingPattern, _readonly, unpack
 
 
 class ConstraintMode(Enum):
@@ -48,12 +52,72 @@ class BalanceConstraint:
 
 
 @dataclass(frozen=True)
+class Terms:
+    """A constraint set flattened to one entry per (constraint, member).
+
+    Entry t is member ``rows[t]`` of constraint ``ids[t]``: its loading on
+    ``unwanted[t]`` is balanced, weighted by ``weights[t]``, or in
+    self-weighted mode (``weights`` None) by ``1 + s**2`` with ``s`` its
+    loading on ``blocks[t]``.  Entries keep constraint and member order.
+    """
+
+    m: int
+    ids: np.ndarray
+    rows: np.ndarray
+    unwanted: np.ndarray
+    blocks: np.ndarray
+    weights: Optional[np.ndarray]
+
+    def member_weights(self, lam: np.ndarray) -> np.ndarray:
+        if self.weights is not None:
+            return self.weights
+        return 1.0 + lam[self.rows, self.blocks] ** 2
+
+    def residuals(self, lam: np.ndarray) -> np.ndarray:
+        """Every constraint's weighted sum at a full loading matrix."""
+        values = self.member_weights(lam) * lam[self.rows, self.unwanted]
+        return np.bincount(self.ids, values, minlength=self.m)
+
+    def jacobian(self, lam: np.ndarray, model: FactorModel) -> np.ndarray:
+        """m x n_parameters derivative of the residuals, built by one scatter.
+
+        Each member adds its weight at its unwanted-factor loading and, when
+        self-weighted, ``2 s n`` at its salient loading ``s``; fixed cells
+        add nothing.
+        """
+        ids = self.ids
+        cols = model.loading_index[self.rows, self.unwanted]
+        values = self.member_weights(lam)
+        if self.weights is None:
+            salient = lam[self.rows, self.blocks]
+            ids = np.concatenate([ids, ids])
+            cols = np.concatenate([cols, model.loading_index[self.rows, self.blocks]])
+            values = np.concatenate([values, 2.0 * salient * lam[self.rows, self.unwanted]])
+        free = cols >= 0
+        n = model.n_parameters
+        jac = np.bincount(ids[free] * n + cols[free], values[free], minlength=self.m * n)
+        return jac.reshape(self.m, n)
+
+
+@dataclass(frozen=True)
 class ConstraintSet:
     mode: ConstraintMode
     constraints: tuple[BalanceConstraint, ...]
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    @cached_property
+    def terms(self) -> Terms:
+        """The set's flat per-member arrays, built once."""
+        entries = [
+            (r, k, c.unwanted, c.block) for r, c in enumerate(self.constraints) for k in c.members
+        ]
+        columns = np.array(entries, dtype=int).reshape(-1, 4).T
+        weights = None
+        if self.mode is ConstraintMode.FIXED_WEIGHTS:
+            weights = _readonly([w for c in self.constraints for w in c.weights])
+        return Terms(len(self), *(_readonly(a) for a in columns), weights)
 
 
 def _block_pairs(pattern: LoadingPattern):
@@ -125,17 +189,7 @@ def swap_members(cset: ConstraintSet, swaps: Sequence[tuple[int, int]]) -> Const
 
 def evaluate_lambda(cset: ConstraintSet, lam: np.ndarray) -> np.ndarray:
     """Residual of every constraint at a full loading matrix."""
-    vals = np.empty(len(cset))
-    for idx, c in enumerate(cset.constraints):
-        members = np.fromiter(c.members, dtype=int)
-        n = lam[members, c.unwanted]
-        if cset.mode is ConstraintMode.FIXED_WEIGHTS:
-            w = np.asarray(c.weights)
-        else:
-            s = lam[members, c.block]
-            w = 1.0 + s**2
-        vals[idx] = float(w @ n)
-    return vals
+    return cset.terms.residuals(np.asarray(lam, dtype=float))
 
 
 def constraint_jacobian(
@@ -146,23 +200,7 @@ def constraint_jacobian(
     Fixed-weight rows are constant; self-weighted rows carry the product
     rule through the salient weights.  Fixed-zero cells contribute nothing.
     """
-    lam, _, _ = unpack(model, theta)
-    index = model.loading_index
-    jac = np.zeros((len(cset), model.n_parameters))
-    for r, c in enumerate(cset.constraints):
-        for pos, k in enumerate(c.members):
-            n_idx = index.get((k, c.unwanted))
-            if cset.mode is ConstraintMode.FIXED_WEIGHTS:
-                if n_idx is not None:
-                    jac[r, n_idx] += c.weights[pos]
-            else:
-                s = lam[k, c.block]
-                if n_idx is not None:
-                    jac[r, n_idx] += 1.0 + s**2
-                s_idx = index.get((k, c.block))
-                if s_idx is not None:
-                    jac[r, s_idx] += 2.0 * s * lam[k, c.unwanted]
-    return jac
+    return cset.terms.jacobian(unpack(model, theta)[0], model)
 
 
 @dataclass(frozen=True)
@@ -190,31 +228,32 @@ def choose_pivots(cset: ConstraintSet, model: FactorModel) -> Pivots:
 
     Such a cell enters only its own constraint, and only linearly, so it is
     solved for exactly from the other parameters.  Fixed-weight mode takes
-    the member of largest |weight|; self-weights are all >= 1, so there any
-    member serves.  A constraint with no such member is a StructureError.
+    the member of largest |weight|, the first on ties; self-weights are all
+    >= 1, so there the first member serves.  A constraint with no such
+    member is a StructureError.
     """
-    self_weighted = cset.mode is ConstraintMode.SELF_WEIGHTED
-    uses = Counter((k, c.unwanted) for c in cset.constraints for k in c.members)
-    if self_weighted:
-        uses.update((k, c.block) for c in cset.constraints for k in c.members)
-    chosen = []
-    for r, c in enumerate(cset.constraints):
-        weights = (1.0,) * len(c.members) if self_weighted else c.weights
-        eligible = [
-            (abs(w), -pos)
-            for pos, (k, w) in enumerate(zip(c.members, weights))
-            if w != 0.0 and uses[(k, c.unwanted)] == 1 and (k, c.unwanted) in model.loading_index
-        ]
-        if not eligible:
-            raise StructureError(
-                f"constraint {r} (block {c.block}, unwanted factor {c.unwanted}) has no "
-                "free member loading that no other constraint uses"
-            )
-        pos = -max(eligible)[1]
-        cell = (c.members[pos], c.unwanted)
-        chosen.append((*cell, model.loading_index[cell], c.block, weights[pos]))
-    rows, cols, params, blocks, weights = (np.array(x) for x in zip(*chosen))
-    return Pivots((rows, cols), params, blocks, None if self_weighted else weights)
+    t = cset.terms
+    cells = t.rows * model.q + t.unwanted
+    used = cells if t.weights is not None else np.concatenate([cells, t.rows * model.q + t.blocks])
+    uses = np.bincount(used, minlength=model.p * model.q)
+    weights = np.ones(t.ids.size) if t.weights is None else t.weights
+    params = model.loading_index[t.rows, t.unwanted]
+    eligible = (weights != 0.0) & (uses[cells] == 1) & (params >= 0)
+    score = np.where(eligible, np.abs(weights), -1.0)
+    best = np.full(len(cset), -1.0)
+    np.maximum.at(best, t.ids, score)
+    if np.any(best < 0.0):
+        r = int(np.argmax(best < 0.0))
+        c = cset.constraints[r]
+        raise StructureError(
+            f"constraint {r} (block {c.block}, unwanted factor {c.unwanted}) has no "
+            "free member loading that no other constraint uses"
+        )
+    # Entries are in constraint order: take each constraint's first best one.
+    hits = np.flatnonzero(score == best[t.ids])
+    chosen = hits[np.searchsorted(t.ids[hits], np.arange(len(cset)))]
+    fixed = None if t.weights is None else weights[chosen]
+    return Pivots((t.rows[chosen], t.unwanted[chosen]), params[chosen], t.blocks[chosen], fixed)
 
 
 def buffered_quality_index(lambda_hat: np.ndarray, pattern: LoadingPattern) -> float:

@@ -9,6 +9,10 @@ never by clamping.  BFGS starts from the inverse of the expected
 information (the Fisher-scoring matrix of F) in the solver's coordinates,
 or from the identity where that matrix is not positive definite; if its
 line search stalls, Fisher-scoring steps finish the fit.
+
+Every evaluation factors Sigma once, with numpy's Cholesky and one p-wide
+triangular inversion (:func:`_cholesky_inverse`); the model's index arrays
+and the constraint set's flat terms do the rest without Python loops.
 """
 
 from __future__ import annotations
@@ -17,20 +21,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 
-from .constraints import ConstraintSet, choose_pivots, constraint_jacobian, evaluate_lambda
+from .constraints import ConstraintSet, choose_pivots
 from .errors import NumericalError, StructureError
-from .model import (
-    CellRole,
-    FactorModel,
-    Solution,
-    implied_covariance,
-    pack,
-    unpack,
-    validate_model,
-)
+from .model import CellRole, FactorModel, Solution, implied_covariance, pack, unpack
 
 _INFEASIBLE_F = 1e10
 
@@ -111,54 +107,59 @@ class FitOptions:
         return replace(self, start_lambda=lam, start_phi=phi, start_psi=psi)
 
 
+def _cholesky_inverse(matrix: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """ln|matrix| and its inverse, or None unless it is finite and positive definite.
+
+    One Cholesky factor and one triangular inversion of it: every product
+    stays p-wide, since solves with many right-hand sides wake a second
+    BLAS thread that costs more than it saves at this size.
+    """
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    log_det = 2.0 * np.sum(np.log(np.diag(factor)))
+    if not np.isfinite(log_det):
+        return None
+    factor_inv, _ = dtrtri(factor, lower=1)
+    return float(log_det), factor_inv.T @ factor_inv
+
+
 def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     """ML fit function; nonnegative, zero iff the matrices coincide."""
     S = np.asarray(S, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if S.shape != sigma.shape:
         raise StructureError(f"shape mismatch: {S.shape} vs {sigma.shape}")
-    p = S.shape[0]
-    try:
-        cS = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError:
-        raise NumericalError("sample matrix is not positive definite") from None
-    try:
-        cSig = cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError:
-        raise NumericalError("model-implied matrix is not positive definite") from None
-    ldet_S = 2.0 * np.sum(np.log(np.diag(cS[0])))
-    ldet_sig = 2.0 * np.sum(np.log(np.diag(cSig[0])))
-    trace = float(np.trace(cho_solve(cSig, S)))
-    return float(ldet_sig - ldet_S + trace - p)
+    sample = _cholesky_inverse(S)
+    if sample is None:
+        raise NumericalError("sample matrix is not positive definite")
+    implied = _cholesky_inverse(sigma)
+    if implied is None:
+        raise NumericalError("model-implied matrix is not positive definite")
+    return float(implied[0] - sample[0] + np.trace(implied[1] @ S) - S.shape[0])
 
 
 def _discrepancy_and_gradient(model: FactorModel, lam, phi, psi, S):
     """F without its ln|S| term, and the packed gradient, at a parameter point."""
     p = lam.shape[0]
-    common = lam @ phi @ lam.T
+    lam_phi = lam @ phi
+    common = lam_phi @ lam.T
     sigma = (common + common.T) / 2.0
     sigma[np.diag_indices(p)] += psi
-    try:
-        cSig = cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError:
+    parts = _cholesky_inverse(sigma)
+    if parts is None:
         return None
-    ldet_sig = 2.0 * np.sum(np.log(np.diag(cSig[0])))
-    sig_inv_S = cho_solve(cSig, S)
-    trace = float(np.trace(sig_inv_S))
+    ldet_sig, sig_inv = parts
+    sig_inv_S = sig_inv @ S
     # W = Sigma^-1 (Sigma - S) Sigma^-1, symmetric
-    sig_inv = cho_solve(cSig, np.eye(p))
     W = sig_inv - sig_inv_S @ sig_inv
     W = (W + W.T) / 2.0
-    f_part = ldet_sig + trace - p
-    d_lam = 2.0 * (W @ lam @ phi)
-    d_phi = lam.T @ W @ lam
+    f_part = ldet_sig + float(np.trace(sig_inv_S)) - p
     grad = np.empty(model.n_parameters)
-    for k, (i, j) in enumerate(model.free_loading_cells):
-        grad[k] = d_lam[i, j]
-    base = model.n_free_loadings
-    for k, (i, j) in enumerate(model.free_phi_pairs):
-        grad[base + k] = 2.0 * d_phi[i, j]
-    grad[model.psi_offset:] = np.diag(W)
+    grad[: model.n_free_loadings] = 2.0 * (W @ lam_phi)[model.loading_cells]
+    grad[model.n_free_loadings : model.psi_offset] = 2.0 * (lam.T @ W @ lam)[model.phi_pairs]
+    grad[model.psi_offset :] = np.diag(W)
     return f_part, grad
 
 
@@ -182,14 +183,14 @@ def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndar
     makes ``H[a, b] = 2 (x_a'P x_b  y_a'P y_b + x_a'P y_b  y_a'P x_b)``.
     """
     p = lam.shape[0]
-    try:
-        sig_inv = cho_solve(cho_factor(implied_covariance(lam, phi, psi), lower=True), np.eye(p))
-    except np.linalg.LinAlgError:
+    parts = _cholesky_inverse(implied_covariance(lam, phi, psi))
+    if parts is None:
         return None
+    sig_inv = parts[1]
     phis = slice(model.n_free_loadings, model.psi_offset)
     psis = np.arange(model.psi_offset, model.n_parameters)
-    rows, cols = np.array(model.free_loading_cells, dtype=int).reshape(-1, 2).T
-    a, b = np.array(model.free_phi_pairs, dtype=int).reshape(-1, 2).T
+    rows, cols = model.loading_cells
+    a, b = model.phi_pairs
     x = np.zeros((p, model.n_parameters))
     y = np.zeros((p, model.n_parameters))
     x[rows, np.arange(rows.size)] = 1.0
@@ -205,21 +206,14 @@ def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndar
 
 def _starting_point(model: FactorModel, opts: FitOptions) -> np.ndarray:
     """Packed starting vector per the starting-value policy."""
-    p, q = model.p, model.q
-    lam0 = np.zeros((p, q))
-    for (i, j) in model.free_loading_cells:
-        if model.pattern.cells[i, j] is CellRole.SALIENT_FREE:
-            lam0[i, j] = opts.salient_start
+    lam0 = np.where(model.pattern.cells == CellRole.SALIENT_FREE, opts.salient_start, 0.0)
     if opts.start_lambda is not None:
-        start = np.asarray(opts.start_lambda, dtype=float)
-        for (i, j) in model.free_loading_cells:
-            lam0[i, j] = start[i, j]
-    phi0 = np.where(np.isnan(model.phi_fixed), 0.0, model.phi_fixed)
+        lam0[model.loading_cells] = np.asarray(opts.start_lambda, dtype=float)[model.loading_cells]
+    phi0 = model.phi_base.copy()
     if opts.start_phi is not None:
-        start = np.asarray(opts.start_phi, dtype=float)
-        for (i, j) in model.free_phi_pairs:
-            phi0[i, j] = phi0[j, i] = start[i, j]
-    psi0 = np.full(p, opts.psi_start)
+        rows, cols = model.phi_pairs
+        phi0[rows, cols] = phi0[cols, rows] = np.asarray(opts.start_phi, dtype=float)[rows, cols]
+    psi0 = np.full(model.p, opts.psi_start)
     if opts.start_psi is not None:
         psi0 = np.maximum(np.asarray(opts.start_psi, dtype=float), model.psi_floor * 2.0)
     if opts.perturbation > 0:
@@ -292,9 +286,8 @@ def fit(
     gradient and the constraint residuals met their tolerances;
     non-convergence is never silent.
     """
-    problems = validate_model(model)
-    if problems:
-        raise StructureError("invalid model: " + "; ".join(problems))
+    if model.problems:
+        raise StructureError("invalid model: " + "; ".join(model.problems))
     if moments.p != model.p:
         raise StructureError(
             f"moment matrix order {moments.p} does not match model p={model.p}"
@@ -304,9 +297,16 @@ def fit(
     # The solver's vector z is theta[keep], with log(psi - floor) for psi.
     keep = slice(None)
     if m:
+        terms = constraints.terms
         pivots = choose_pivots(constraints, model)
         keep = np.setdiff1d(np.arange(model.n_parameters), pivots.params)
+        if terms.weights is not None:
+            # Fixed weights make the Jacobian constant: build it once per fit.
+            fixed_jac = terms.jacobian(np.zeros((model.p, model.q)), model)
     log_psi = slice(model.psi_offset, None)
+
+    def jacobian(lam):
+        return terms.jacobian(lam, model) if terms.weights is None else fixed_jac
 
     def point(z):
         """Full parameters at a solver point, pivots solved."""
@@ -316,7 +316,7 @@ def fit(
         lam, phi, psi = unpack(model, theta)
         if m:
             # The pivots arrive at zero, so each residual leaves its pivot out.
-            lam[pivots.cells] = -evaluate_lambda(constraints, lam) / pivots.weights(lam)
+            lam[pivots.cells] = -terms.residuals(lam) / pivots.weights(lam)
             theta[pivots.params] = lam[pivots.cells]
         return theta, lam, phi, psi
 
@@ -327,7 +327,7 @@ def fit(
             return _INFEASIBLE_F, np.zeros_like(z)
         f, grad = parts
         if m:
-            jac = constraint_jacobian(constraints, theta, model)
+            jac = jacobian(lam)
             mu = grad[pivots.params] / jac[np.arange(m), pivots.params]
             grad = grad - jac.T @ mu
         grad[log_psi] *= theta[log_psi] - model.psi_floor
@@ -344,7 +344,7 @@ def fit(
         T = np.eye(model.n_parameters)[:, keep]
         T[log_psi] *= (theta[log_psi] - model.psi_floor)[:, None]
         if m:
-            jac = constraint_jacobian(constraints, theta, model)
+            jac = jacobian(lam)
             T[pivots.params] = -jac[:, keep] / jac[np.arange(m), pivots.params][:, None]
         return T.T @ info @ T
 
@@ -355,7 +355,7 @@ def fit(
     if opts.align_signs:
         lam, phi = _align_signs(model, lam, phi)
     f_min = ml_discrepancy(S, implied_covariance(lam, phi, psi))
-    residuals = evaluate_lambda(constraints, lam) if m else np.zeros(0)
+    residuals = terms.residuals(lam) if m else np.zeros(0)
     return Solution(
         lambda_hat=lam,
         phi_hat=phi,

@@ -4,6 +4,11 @@ The central objects are :class:`LoadingPattern` (which loading cells are
 salient, free secondary, or fixed zero), :class:`FactorModel` (pattern plus
 factor-correlation and uniqueness specification), and the packing helpers
 that map free parameters to and from a flat vector.
+
+A model is immutable, so it compiles its layout once, on first use: the
+loading cells and correlation pairs of the packed vector as read-only index
+arrays, and its invariant check.  Packing, unpacking and the gradient
+scatter are then single fancy-indexing operations over those arrays.
 """
 
 from __future__ import annotations
@@ -121,15 +126,14 @@ class LoadingPattern:
         problems = []
         if not self.p >= self.q >= 2:
             problems.append(f"requires p >= q >= 2, got p={self.p}, q={self.q}")
-        for i in range(self.p):
-            n_sal = sum(self.cells[i, j] is CellRole.SALIENT_FREE for j in range(self.q))
+        salient = self.cells == CellRole.SALIENT_FREE
+        for i, n_sal in enumerate(salient.sum(axis=1)):
             if n_sal == 0:
                 problems.append(f"variable {i} has no salient factor")
             elif n_sal > 1:
                 problems.append(f"variable {i} has multiple salient factors")
-        for j in range(self.q):
-            if not any(self.cells[i, j] is CellRole.SALIENT_FREE for i in range(self.p)):
-                problems.append(f"factor {j} has no salient variable (empty factor)")
+        for j in np.flatnonzero(~salient.any(axis=0)):
+            problems.append(f"factor {j} has no salient variable (empty factor)")
         return problems
 
 
@@ -194,43 +198,46 @@ class FactorModel:
         return self.pattern.q
 
     @cached_property
-    def free_loading_cells(self) -> tuple[tuple[int, int], ...]:
-        """Free loading cells in row-major pattern order."""
-        return tuple(
-            (i, j)
-            for i in range(self.p)
-            for j in range(self.q)
-            if self.pattern.cells[i, j] is not CellRole.FIXED_ZERO
-        )
+    def loading_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the free loadings, in packed (row-major) order."""
+        free = self.pattern.cells != CellRole.FIXED_ZERO
+        return tuple(_readonly(a) for a in np.nonzero(free))
 
     @cached_property
-    def free_phi_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Free inter-factor correlations in lower-triangular order (i > j)."""
-        return tuple(
-            (i, j)
-            for i in range(self.q)
-            for j in range(i)
-            if np.isnan(self.phi_fixed[i, j])
-        )
+    def phi_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns (row > column) of the free correlations, in packed order."""
+        return tuple(_readonly(a) for a in np.nonzero(np.tril(np.isnan(self.phi_fixed), -1)))
 
     @cached_property
-    def loading_index(self) -> dict[tuple[int, int], int]:
-        """Map from free loading cell to its position in the packed vector."""
-        return {cell: k for k, cell in enumerate(self.free_loading_cells)}
+    def phi_base(self) -> np.ndarray:
+        """The correlation matrix with every free entry at zero."""
+        return _readonly(np.nan_to_num(self.phi_fixed, nan=0.0))
 
-    @property
+    @cached_property
+    def loading_index(self) -> np.ndarray:
+        """p x q positions of the loadings in the packed vector, -1 where fixed."""
+        index = np.full((self.p, self.q), -1)
+        index[self.loading_cells] = np.arange(self.n_free_loadings)
+        return _readonly(index)
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """Every invariant violation (:func:`validate_model`), found once per model."""
+        return tuple(validate_model(self))
+
+    @cached_property
     def n_free_loadings(self) -> int:
-        return len(self.free_loading_cells)
+        return self.loading_cells[0].size
 
-    @property
+    @cached_property
     def n_free_phi(self) -> int:
-        return len(self.free_phi_pairs)
+        return self.phi_pairs[0].size
 
-    @property
+    @cached_property
     def psi_offset(self) -> int:
         return self.n_free_loadings + self.n_free_phi
 
-    @property
+    @cached_property
     def n_parameters(self) -> int:
         """Free loadings + free correlations + p uniquenesses."""
         return self.psi_offset + self.p
@@ -305,12 +312,9 @@ def pack(model: FactorModel, lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) 
     if psi.shape != (model.p,):
         raise StructureError(f"psi shape {psi.shape} does not match p={model.p}")
     theta = np.empty(model.n_parameters)
-    for k, (i, j) in enumerate(model.free_loading_cells):
-        theta[k] = lam[i, j]
-    base = model.n_free_loadings
-    for k, (i, j) in enumerate(model.free_phi_pairs):
-        theta[base + k] = phi[i, j]
-    theta[model.psi_offset:] = psi
+    theta[: model.n_free_loadings] = lam[model.loading_cells]
+    theta[model.n_free_loadings : model.psi_offset] = phi[model.phi_pairs]
+    theta[model.psi_offset :] = psi
     return theta
 
 
@@ -322,14 +326,11 @@ def unpack(model: FactorModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
             f"parameter vector length {theta.shape} != {model.n_parameters}"
         )
     lam = np.zeros((model.p, model.q))
-    for k, (i, j) in enumerate(model.free_loading_cells):
-        lam[i, j] = theta[k]
-    phi = np.where(np.isnan(model.phi_fixed), 0.0, model.phi_fixed)
-    base = model.n_free_loadings
-    for k, (i, j) in enumerate(model.free_phi_pairs):
-        phi[i, j] = theta[base + k]
-        phi[j, i] = theta[base + k]
-    psi = theta[model.psi_offset:].copy()
+    lam[model.loading_cells] = theta[: model.n_free_loadings]
+    phi = model.phi_base.copy()
+    rows, cols = model.phi_pairs
+    phi[rows, cols] = phi[cols, rows] = theta[model.n_free_loadings : model.psi_offset]
+    psi = theta[model.psi_offset :].copy()
     return lam, phi, psi
 
 

@@ -185,6 +185,7 @@ def specification_search(
     opts: FitOptions = FitOptions(),
     mi_threshold: float = 15.0,
     max_freed_per_factor: int = 3,
+    phi_spec="free",
 ) -> ProcedureTrace:
     """Independent-clusters fit plus modification-index-guided freeing.
 
@@ -195,11 +196,12 @@ def specification_search(
     ``mi_threshold`` are freed (largest first; ties break by factor then
     variable order), and the final model refits them simultaneously.  The
     trace is converged only when the independent-clusters fit, every refit
-    and the final fit converged.
+    and the final fit converged.  Every model takes ``phi_spec``: ``"free"``
+    or a fixed value/matrix for the inter-factor correlations.
     """
     if moments.n is None:
         raise StructureError("specification search requires a sample size")
-    icm_model = FactorModel.free_phi(pattern)
+    icm_model = _phi_spec_model(pattern, phi_spec)
     icm_solution = fit(icm_model, None, moments, opts)
     steps = [
         TraceStep("icm", icm_solution, build_report(icm_model, None, moments, icm_solution))
@@ -221,7 +223,7 @@ def specification_search(
     mi_table = []
     refits_converged = True
     for (i, j) in zero_cells:
-        freed_model = FactorModel.free_phi(pattern.with_cells_freed([(i, j)]))
+        freed_model = _phi_spec_model(pattern.with_cells_freed([(i, j)]), phi_spec)
         freed_solution = fit(freed_model, None, moments, refit_opts)
         refits_converged = refits_converged and freed_solution.converged
         drop = scale * max(icm_solution.f_min - freed_solution.f_min, 0.0)
@@ -237,7 +239,7 @@ def specification_search(
     chosen.sort(key=lambda cell: (cell[1], cell[0]))
 
     if chosen:
-        final_model = FactorModel.free_phi(pattern.with_cells_freed(chosen))
+        final_model = _phi_spec_model(pattern.with_cells_freed(chosen), phi_spec)
         final_solution = fit(final_model, None, moments, icm_starts)
         final_report = build_report(final_model, None, moments, final_solution)
     else:

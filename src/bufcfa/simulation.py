@@ -169,6 +169,15 @@ class GridSpec:
         object.__setattr__(self, "sample_sizes", tuple(int(x) for x in self.sample_sizes))
         if self.replications < 1:
             raise StructureError(f"replications must be at least 1, got {self.replications}")
+        if self.factors < 2:
+            raise StructureError(f"factors must be at least 2, got {self.factors}")
+        if self.per_factor < 1:
+            raise StructureError(f"per_factor must be at least 1, got {self.per_factor}")
+        p = self.factors * self.per_factor
+        if any(n <= p for n in self.sample_sizes):
+            raise StructureError(
+                f"every sample size must exceed p={p}, got {self.sample_sizes}"
+            )
         if any(a != 0.0 for a in self.nonsalient_sizes) and self.per_factor % 2 != 0:
             raise StructureError("per-factor count must be even for nonzero secondary sizes")
         for name in ("salient_sizes", "nonsalient_sizes", "phi_values"):

@@ -39,11 +39,21 @@ class EliminationOptimum:
     psi_hat: np.ndarray
 
 
+def _free_cells(model: FactorModel) -> list[tuple[int, int]]:
+    """The model's estimable loading cells, read from its pattern."""
+    return [
+        (i, j)
+        for i in range(model.p)
+        for j in range(model.q)
+        if model.pattern.cells[i, j] is not CellRole.FIXED_ZERO
+    ]
+
+
 def _balance_matrix(model: FactorModel, cset: ConstraintSet) -> np.ndarray:
     """Rows of ``A``: one per constraint, over the model's free loading cells."""
     if cset.mode is not ConstraintMode.FIXED_WEIGHTS:
         raise ValueError("null-space elimination needs linear (fixed-weight) constraints")
-    column = {cell: k for k, cell in enumerate(model.free_loading_cells)}
+    column = {cell: k for k, cell in enumerate(_free_cells(model))}
     A = np.zeros((len(cset), len(column)))
     for r, c in enumerate(cset.constraints):
         for k, w in zip(c.members, c.weights):
@@ -75,7 +85,7 @@ def elimination_optimum(model: FactorModel, cset: ConstraintSet, S: np.ndarray) 
     if np.any(np.isnan(model.phi_fixed)):
         raise ValueError("elimination oracle supports fixed inter-factor correlations only")
     S = np.asarray(S, dtype=float)
-    cells = model.free_loading_cells
+    cells = _free_cells(model)
     rows = np.array([i for i, _ in cells])
     cols = np.array([j for _, j in cells])
     salient = np.array([model.pattern.cells[i, j] is CellRole.SALIENT_FREE for i, j in cells])

@@ -192,6 +192,43 @@ class TestSearchCommand:
         assert code == 2
 
 
+class TestFixedPhiSearch:
+    @pytest.mark.parametrize("command", ["fit", "search"])
+    def test_every_step_keeps_the_fixed_correlations(self, tmp_path, data_dir, command):
+        import numpy as np
+
+        text = (data_dir / "one_step.model").read_text()
+        text = text.replace("phi: free", "phi: 0.3")
+        text = text.replace("procedure: one-step", "procedure: search\nmi_threshold: 5")
+        model = tmp_path / "search.model"
+        model.write_text(text)
+        out = tmp_path / "search.json"
+        argv = [command, "--model", str(model), "--data", str(data_dir / "population_corr.dat")]
+        if command == "search":
+            argv += ["--threshold", "5"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        doc = read_result(out)
+        assert doc["procedure"] == "search"
+        assert len(doc["steps"]) == 2
+        for step in doc["steps"]:
+            phi = np.array(step["solution"]["phi"])
+            assert np.all(phi[~np.eye(3, dtype=bool)] == 0.3)
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as non-convergence."""
+
+    @pytest.mark.parametrize("extra", [[], ["--data", "x.dat", "--bogus"]])
+    def test_usage_error_exits_1(self, data_dir, capsys, extra):
+        argv = ["fit", "--model", str(data_dir / "one_step.model")] + extra
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: bufcfa" in err
+        assert ("--bogus" if extra else "--data") in err
+
+
 class TestSimulateCommand:
     def test_tiny_grid(self, tmp_path, capsys):
         grid = tmp_path / "tiny.grid"
@@ -224,6 +261,34 @@ class TestSimulateCommand:
         ])
         assert code == 1
         assert "replications must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("per_factor: 0", "per_factor must be at least 1"),
+            ("per_factor: -2", "per_factor must be at least 1"),
+            ("factors: 1", "factors must be at least 2"),
+            ("sample_sizes: 300 18", "must exceed p=18"),
+        ],
+    )
+    def test_bad_design_is_input_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        import bufcfa.simulation as simulation
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(simulation, "fit", no_fit)
+        key = line.split(":")[0]
+        text = "".join(
+            row + "\n" for row in GRID_TEXT.splitlines() if not row.startswith(key + ":")
+        )
+        grid = tmp_path / "bad.grid"
+        grid.write_text(text + line + "\n")
+        code = cli.main(["simulate", "--grid", str(grid), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_zero_replications_in_document_is_input_error(self, tmp_path, capsys):
         grid = tmp_path / "zero.grid"

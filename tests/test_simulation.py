@@ -152,6 +152,22 @@ class TestGrid:
             with pytest.raises(StructureError, match="replications"):
                 GridSpec((0.6,), (0.0,), (0.0,), (300,), replications=reps)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"per_factor": 0}, "per_factor"),
+            ({"per_factor": -2}, "per_factor"),
+            ({"factors": 1}, "factors"),
+            ({"sample_sizes": (18,)}, "exceed p=18"),
+            ({"sample_sizes": (300, 12), "factors": 2}, "exceed p=12"),
+        ],
+    )
+    def test_degenerate_design_rejected(self, kwargs, message):
+        args = {"salient_sizes": (0.6,), "nonsalient_sizes": (0.0,), "phi_values": (0.0,)}
+        args["sample_sizes"] = (300,)
+        with pytest.raises(StructureError, match=message):
+            GridSpec(**{**args, **kwargs})
+
     def test_colliding_seed_keys_rejected(self):
         # Seeds key each design value to 0.001, so these two would share samples.
         with pytest.raises(StructureError, match="nonsalient_sizes"):
