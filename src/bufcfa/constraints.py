@@ -14,7 +14,7 @@ matches the squared form some modeling languages require while keeping the
 Jacobian full-rank at feasible points.
 
 A set compiles once, on first use, into flat per-member arrays
-(:attr:`ConstraintSet.terms`): the residuals are then one ``np.bincount``
+(:attr:`ConstraintSet.flat`): the residuals are then one ``np.bincount``
 over them, and the Jacobian one scatter into the model's packed positions.
 """
 
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import StructureError
-from .model import FactorModel, LoadingPattern, _readonly, unpack
+from .model import FactorModel, LoadingPattern, _readonly
 
 
 class ConstraintMode(Enum):
@@ -52,54 +52,6 @@ class BalanceConstraint:
 
 
 @dataclass(frozen=True)
-class Terms:
-    """A constraint set flattened to one entry per (constraint, member).
-
-    Entry t is member ``rows[t]`` of constraint ``ids[t]``: its loading on
-    ``unwanted[t]`` is balanced, weighted by ``weights[t]``, or in
-    self-weighted mode (``weights`` None) by ``1 + s**2`` with ``s`` its
-    loading on ``blocks[t]``.  Entries keep constraint and member order.
-    """
-
-    m: int
-    ids: np.ndarray
-    rows: np.ndarray
-    unwanted: np.ndarray
-    blocks: np.ndarray
-    weights: Optional[np.ndarray]
-
-    def member_weights(self, lam: np.ndarray) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
-        return 1.0 + lam[self.rows, self.blocks] ** 2
-
-    def residuals(self, lam: np.ndarray) -> np.ndarray:
-        """Every constraint's weighted sum at a full loading matrix."""
-        values = self.member_weights(lam) * lam[self.rows, self.unwanted]
-        return np.bincount(self.ids, values, minlength=self.m)
-
-    def jacobian(self, lam: np.ndarray, model: FactorModel) -> np.ndarray:
-        """m x n_parameters derivative of the residuals, built by one scatter.
-
-        Each member adds its weight at its unwanted-factor loading and, when
-        self-weighted, ``2 s n`` at its salient loading ``s``; fixed cells
-        add nothing.
-        """
-        ids = self.ids
-        cols = model.loading_index[self.rows, self.unwanted]
-        values = self.member_weights(lam)
-        if self.weights is None:
-            salient = lam[self.rows, self.blocks]
-            ids = np.concatenate([ids, ids])
-            cols = np.concatenate([cols, model.loading_index[self.rows, self.blocks]])
-            values = np.concatenate([values, 2.0 * salient * lam[self.rows, self.unwanted]])
-        free = cols >= 0
-        n = model.n_parameters
-        jac = np.bincount(ids[free] * n + cols[free], values[free], minlength=self.m * n)
-        return jac.reshape(self.m, n)
-
-
-@dataclass(frozen=True)
 class ConstraintSet:
     mode: ConstraintMode
     constraints: tuple[BalanceConstraint, ...]
@@ -108,8 +60,15 @@ class ConstraintSet:
         return len(self.constraints)
 
     @cached_property
-    def terms(self) -> Terms:
-        """The set's flat per-member arrays, built once."""
+    def flat(self) -> tuple[np.ndarray, ...]:
+        """The set as one entry per (constraint, member), built once.
+
+        Entry t is member ``rows[t]`` of constraint ``ids[t]``: its loading
+        on ``unwanted[t]`` is balanced, weighted by ``weights[t]``, or in
+        self-weighted mode (``weights`` None) by ``1 + s**2`` with ``s`` its
+        loading on ``blocks[t]``.  Returns (ids, rows, unwanted, blocks,
+        weights), in constraint and member order.
+        """
         entries = [
             (r, k, c.unwanted, c.block) for r, c in enumerate(self.constraints) for k in c.members
         ]
@@ -117,7 +76,7 @@ class ConstraintSet:
         weights = None
         if self.mode is ConstraintMode.FIXED_WEIGHTS:
             weights = _readonly([w for c in self.constraints for w in c.weights])
-        return Terms(len(self), *(_readonly(a) for a in columns), weights)
+        return (*(_readonly(a) for a in columns), weights)
 
 
 def _block_pairs(pattern: LoadingPattern):
@@ -188,8 +147,12 @@ def swap_members(cset: ConstraintSet, swaps: Sequence[tuple[int, int]]) -> Const
 
 
 def evaluate_lambda(cset: ConstraintSet, lam: np.ndarray) -> np.ndarray:
-    """Residual of every constraint at a full loading matrix."""
-    return cset.terms.residuals(np.asarray(lam, dtype=float))
+    """Residual of every constraint at a full loading matrix: one bincount."""
+    ids, rows, unwanted, blocks, weights = cset.flat
+    lam = np.asarray(lam, dtype=float)
+    if weights is None:
+        weights = 1.0 + lam[rows, blocks] ** 2
+    return np.bincount(ids, weights * lam[rows, unwanted], minlength=len(cset))
 
 
 def constraint_jacobian(
@@ -197,10 +160,28 @@ def constraint_jacobian(
 ) -> np.ndarray:
     """Analytic Jacobian of the residuals w.r.t. the packed parameters.
 
-    Fixed-weight rows are constant; self-weighted rows carry the product
-    rule through the salient weights.  Fixed-zero cells contribute nothing.
+    One scatter: each member adds its weight at its unwanted-factor
+    loading and, when self-weighted, ``2 s n`` at its salient loading
+    ``s``.  Fixed-weight rows are constant; fixed cells add nothing.
     """
-    return cset.terms.jacobian(unpack(model, theta)[0], model)
+    ids, rows, unwanted, blocks, weights = cset.flat
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.n_parameters,):
+        raise StructureError(f"parameter vector length {theta.shape} != {model.n_parameters}")
+    cols = model.loading_index[rows, unwanted]
+    values = weights
+    if weights is None:
+        salient_cols = model.loading_index[rows, blocks]
+        # Fixed loadings are zero; theta[-1] only stands in for them here.
+        s = np.where(salient_cols >= 0, theta[salient_cols], 0.0)
+        n = np.where(cols >= 0, theta[cols], 0.0)
+        ids = np.concatenate([ids, ids])
+        cols = np.concatenate([cols, salient_cols])
+        values = np.concatenate([1.0 + s**2, 2.0 * s * n])
+    free = cols >= 0
+    width = model.n_parameters
+    jac = np.bincount(ids[free] * width + cols[free], values[free], minlength=len(cset) * width)
+    return jac.reshape(len(cset), width)
 
 
 @dataclass(frozen=True)
@@ -232,16 +213,16 @@ def choose_pivots(cset: ConstraintSet, model: FactorModel) -> Pivots:
     >= 1, so there the first member serves.  A constraint with no such
     member is a StructureError.
     """
-    t = cset.terms
-    cells = t.rows * model.q + t.unwanted
-    used = cells if t.weights is not None else np.concatenate([cells, t.rows * model.q + t.blocks])
+    ids, rows, unwanted, blocks, fixed_weights = cset.flat
+    cells = rows * model.q + unwanted
+    used = cells if fixed_weights is not None else np.concatenate([cells, rows * model.q + blocks])
     uses = np.bincount(used, minlength=model.p * model.q)
-    weights = np.ones(t.ids.size) if t.weights is None else t.weights
-    params = model.loading_index[t.rows, t.unwanted]
+    weights = np.ones(ids.size) if fixed_weights is None else fixed_weights
+    params = model.loading_index[rows, unwanted]
     eligible = (weights != 0.0) & (uses[cells] == 1) & (params >= 0)
     score = np.where(eligible, np.abs(weights), -1.0)
     best = np.full(len(cset), -1.0)
-    np.maximum.at(best, t.ids, score)
+    np.maximum.at(best, ids, score)
     if np.any(best < 0.0):
         r = int(np.argmax(best < 0.0))
         c = cset.constraints[r]
@@ -250,10 +231,10 @@ def choose_pivots(cset: ConstraintSet, model: FactorModel) -> Pivots:
             "free member loading that no other constraint uses"
         )
     # Entries are in constraint order: take each constraint's first best one.
-    hits = np.flatnonzero(score == best[t.ids])
-    chosen = hits[np.searchsorted(t.ids[hits], np.arange(len(cset)))]
-    fixed = None if t.weights is None else weights[chosen]
-    return Pivots((t.rows[chosen], t.unwanted[chosen]), params[chosen], t.blocks[chosen], fixed)
+    hits = np.flatnonzero(score == best[ids])
+    chosen = hits[np.searchsorted(ids[hits], np.arange(len(cset)))]
+    fixed = None if fixed_weights is None else weights[chosen]
+    return Pivots((rows[chosen], unwanted[chosen]), params[chosen], blocks[chosen], fixed)
 
 
 def buffered_quality_index(lambda_hat: np.ndarray, pattern: LoadingPattern) -> float:

@@ -12,7 +12,7 @@ line search stalls, Fisher-scoring steps finish the fit.
 
 Every evaluation factors Sigma once, with numpy's Cholesky and one p-wide
 triangular inversion (:func:`_cholesky_inverse`); the model's index arrays
-and the constraint set's flat terms do the rest without Python loops.
+and the constraint set's flat arrays do the rest without Python loops.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 
-from .constraints import ConstraintSet, choose_pivots
+from .constraints import (
+    ConstraintMode,
+    ConstraintSet,
+    choose_pivots,
+    constraint_jacobian,
+    evaluate_lambda,
+)
 from .errors import NumericalError, StructureError
 from .model import CellRole, FactorModel, Solution, implied_covariance, pack, unpack
 
@@ -107,6 +113,16 @@ class FitOptions:
         return replace(self, start_lambda=lam, start_phi=phi, start_psi=psi)
 
 
+def _cholesky(matrix: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """ln|matrix| and its lower Cholesky factor, or None unless finite and positive definite."""
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    log_det = 2.0 * np.sum(np.log(np.diag(factor)))
+    return (float(log_det), factor) if np.isfinite(log_det) else None
+
+
 def _cholesky_inverse(matrix: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
     """ln|matrix| and its inverse, or None unless it is finite and positive definite.
 
@@ -114,15 +130,11 @@ def _cholesky_inverse(matrix: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
     stays p-wide, since solves with many right-hand sides wake a second
     BLAS thread that costs more than it saves at this size.
     """
-    try:
-        factor = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
+    parts = _cholesky(matrix)
+    if parts is None:
         return None
-    log_det = 2.0 * np.sum(np.log(np.diag(factor)))
-    if not np.isfinite(log_det):
-        return None
-    factor_inv, _ = dtrtri(factor, lower=1)
-    return float(log_det), factor_inv.T @ factor_inv
+    factor_inv, _ = dtrtri(parts[1], lower=1)
+    return parts[0], factor_inv.T @ factor_inv
 
 
 def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
@@ -131,7 +143,7 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if S.shape != sigma.shape:
         raise StructureError(f"shape mismatch: {S.shape} vs {sigma.shape}")
-    sample = _cholesky_inverse(S)
+    sample = _cholesky(S)
     if sample is None:
         raise NumericalError("sample matrix is not positive definite")
     implied = _cholesky_inverse(sigma)
@@ -297,16 +309,16 @@ def fit(
     # The solver's vector z is theta[keep], with log(psi - floor) for psi.
     keep = slice(None)
     if m:
-        terms = constraints.terms
         pivots = choose_pivots(constraints, model)
         keep = np.setdiff1d(np.arange(model.n_parameters), pivots.params)
-        if terms.weights is not None:
+        self_weighted = constraints.mode is ConstraintMode.SELF_WEIGHTED
+        if not self_weighted:
             # Fixed weights make the Jacobian constant: build it once per fit.
-            fixed_jac = terms.jacobian(np.zeros((model.p, model.q)), model)
+            fixed_jac = constraint_jacobian(constraints, np.zeros(model.n_parameters), model)
     log_psi = slice(model.psi_offset, None)
 
-    def jacobian(lam):
-        return terms.jacobian(lam, model) if terms.weights is None else fixed_jac
+    def jacobian(theta):
+        return constraint_jacobian(constraints, theta, model) if self_weighted else fixed_jac
 
     def point(z):
         """Full parameters at a solver point, pivots solved."""
@@ -316,7 +328,7 @@ def fit(
         lam, phi, psi = unpack(model, theta)
         if m:
             # The pivots arrive at zero, so each residual leaves its pivot out.
-            lam[pivots.cells] = -terms.residuals(lam) / pivots.weights(lam)
+            lam[pivots.cells] = -evaluate_lambda(constraints, lam) / pivots.weights(lam)
             theta[pivots.params] = lam[pivots.cells]
         return theta, lam, phi, psi
 
@@ -327,7 +339,7 @@ def fit(
             return _INFEASIBLE_F, np.zeros_like(z)
         f, grad = parts
         if m:
-            jac = jacobian(lam)
+            jac = jacobian(theta)
             mu = grad[pivots.params] / jac[np.arange(m), pivots.params]
             grad = grad - jac.T @ mu
         grad[log_psi] *= theta[log_psi] - model.psi_floor
@@ -344,7 +356,7 @@ def fit(
         T = np.eye(model.n_parameters)[:, keep]
         T[log_psi] *= (theta[log_psi] - model.psi_floor)[:, None]
         if m:
-            jac = jacobian(lam)
+            jac = jacobian(theta)
             T[pivots.params] = -jac[:, keep] / jac[np.arange(m), pivots.params][:, None]
         return T.T @ info @ T
 
@@ -355,7 +367,7 @@ def fit(
     if opts.align_signs:
         lam, phi = _align_signs(model, lam, phi)
     f_min = ml_discrepancy(S, implied_covariance(lam, phi, psi))
-    residuals = terms.residuals(lam) if m else np.zeros(0)
+    residuals = evaluate_lambda(constraints, lam) if m else np.zeros(0)
     return Solution(
         lambda_hat=lam,
         phi_hat=phi,

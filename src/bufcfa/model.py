@@ -5,10 +5,11 @@ salient, free secondary, or fixed zero), :class:`FactorModel` (pattern plus
 factor-correlation and uniqueness specification), and the packing helpers
 that map free parameters to and from a flat vector.
 
-A model is immutable, so it compiles its layout once, on first use: the
-loading cells and correlation pairs of the packed vector as read-only index
-arrays, and its invariant check.  Packing, unpacking and the gradient
-scatter are then single fancy-indexing operations over those arrays.
+A model is immutable, so its invariants are checked once, at construction,
+and it compiles its layout once, on first use: the loading cells and
+correlation pairs of the packed vector as read-only index arrays.  Packing,
+unpacking and the gradient scatter are then single fancy-indexing
+operations over those arrays.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ class FactorModel:
     ``phi_fixed`` is a q x q array with NaN marking freely estimated
     inter-factor correlations; the diagonal is always 1 (unit factor
     variances).  Uniquenesses are always free, bounded below by
-    ``psi_floor``.
+    ``psi_floor``.  ``problems`` holds every invariant violation
+    (:func:`validate_model`), found once, at construction.
     """
 
     pattern: LoadingPattern
@@ -161,6 +163,8 @@ class FactorModel:
                 f"phi spec shape {phi.shape} does not match q={self.pattern.q}"
             )
         object.__setattr__(self, "phi_fixed", _readonly(phi))
+        # Immutable, so its invariants are checked once, here.
+        object.__setattr__(self, "problems", tuple(validate_model(self)))
 
     @classmethod
     def free_phi(cls, pattern: LoadingPattern, psi_floor: float = DEFAULT_PSI_FLOOR):
@@ -219,11 +223,6 @@ class FactorModel:
         index = np.full((self.p, self.q), -1)
         index[self.loading_cells] = np.arange(self.n_free_loadings)
         return _readonly(index)
-
-    @cached_property
-    def problems(self) -> tuple[str, ...]:
-        """Every invariant violation (:func:`validate_model`), found once per model."""
-        return tuple(validate_model(self))
 
     @cached_property
     def n_free_loadings(self) -> int:

@@ -2,7 +2,7 @@
 
 The references below are written out cell by cell from the documented
 layout and import nothing from the library's packing or constraint code,
-so they check the index arrays and the flat constraint terms
+so they check the index arrays and the flat constraint arrays
 independently.  Both sides perform the same floating-point operations in
 the same order, so results must agree exactly.
 """
@@ -202,9 +202,8 @@ def test_constraint_without_members_has_no_pivot(members):
 def test_compiled_arrays_are_read_only(free_pattern):
     model = FactorModel.fixed_phi(free_pattern, 0.3)
     cset = build_fixed_weight_constraints(free_pattern, np.full(18, 0.6))
-    terms = cset.terms
     arrays = [*model.loading_cells, *model.phi_pairs, model.phi_base, model.loading_index]
-    arrays += [terms.ids, terms.rows, terms.unwanted, terms.blocks, terms.weights]
+    arrays += list(cset.flat)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
