@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -123,31 +124,30 @@ def _run_document(doc: ModelSpecDocument, moments, opts: FitOptions) -> Procedur
     )
 
 
-def _cmd_fit(args) -> int:
-    doc = _load_document(args.model)
+def _fit_document(doc: ModelSpecDocument, args) -> int:
+    """Run a document against ``--data``, write ``--out``, print, and give the exit code."""
     moments = _load_moments(args.data, args.n)
-    trace = _run_document(doc, moments, FitOptions(perturbation_seed=args.seed))
+    trace = _run_document(doc, moments, FitOptions())
     if args.out:
         write_result(trace, args.out)
     _print_trace_summary(doc, trace)
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+
+
+def _cmd_fit(args) -> int:
+    return _fit_document(_load_document(args.model), args)
 
 
 def _cmd_search(args) -> int:
-    doc = _load_document(args.model)
-    moments = _load_moments(args.data, args.n)
-    trace = specification_search(
-        doc.pattern("zero"),
-        moments,
-        FitOptions(perturbation_seed=args.seed),
+    # A search fits no fixed-weight model, so it ignores a document's weights.
+    doc = replace(
+        _load_document(args.model),
+        procedure="search",
         mi_threshold=args.threshold,
         max_freed_per_factor=args.max_per_factor,
-        phi_spec=doc.phi_value(),
+        weights=None,
     )
-    if args.out:
-        write_result(trace, args.out)
-    _print_trace_summary(doc, trace)
-    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+    return _fit_document(doc, args)
 
 
 def _parse_grid_document(text: str) -> dict:
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True, help="correlation matrix or raw data file")
     p_fit.add_argument("--n", type=int, default=None, help="sample size override")
     p_fit.add_argument("--out", default=None, help="write the result document here")
-    p_fit.add_argument("--seed", type=int, default=0, help="start-perturbation seed")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a design grid")
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--threshold", type=float, default=15.0)
     p_search.add_argument("--max-per-factor", type=int, default=3)
     p_search.add_argument("--out", default=None)
-    p_search.add_argument("--seed", type=int, default=0)
     p_search.set_defaults(func=_cmd_search)
     return parser
 

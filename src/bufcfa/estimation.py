@@ -80,11 +80,6 @@ class SampleMoments:
 class FitOptions:
     """Solver controls.  All tolerances are strictly positive.
 
-    ``perturbation`` nudges zero-started secondary loadings off the exactly
-    balanced start (alternating signs within each constraint block, scaled
-    by a seeded random factor).  Sample fits have not been seen to need
-    it: with and without the nudge they reach the same optimum.
-
     ``max_inner_iterations`` bounds the iterations of the whole fit: BFGS
     iterations plus any finishing scoring steps.  ``feasibility_tol``
     bounds the constraint residuals of a converged fit.
@@ -95,8 +90,6 @@ class FitOptions:
     max_inner_iterations: int = 2000
     salient_start: float = 0.5
     psi_start: float = 0.5
-    perturbation: float = 1e-3
-    perturbation_seed: int = 0
     align_signs: bool = True
     start_lambda: Optional[np.ndarray] = None
     start_phi: Optional[np.ndarray] = None
@@ -137,6 +130,19 @@ def _cholesky_inverse(matrix: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
     return parts[0], factor_inv.T @ factor_inv
 
 
+def _discrepancy(sigma: np.ndarray, S: np.ndarray, log_det_S: float = 0.0):
+    """F, Sigma^-1 and Sigma^-1 S at an implied matrix; None unless Sigma is PD.
+
+    The solver passes no ``log_det_S``: ln|S| is constant in the parameters.
+    """
+    parts = _cholesky_inverse(sigma)
+    if parts is None:
+        return None
+    log_det, sig_inv = parts
+    sig_inv_S = sig_inv @ S
+    return log_det - log_det_S + float(np.trace(sig_inv_S)) - S.shape[0], sig_inv, sig_inv_S
+
+
 def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     """ML fit function; nonnegative, zero iff the matrices coincide."""
     S = np.asarray(S, dtype=float)
@@ -146,10 +152,10 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     sample = _cholesky(S)
     if sample is None:
         raise NumericalError("sample matrix is not positive definite")
-    implied = _cholesky_inverse(sigma)
-    if implied is None:
+    parts = _discrepancy(sigma, S, sample[0])
+    if parts is None:
         raise NumericalError("model-implied matrix is not positive definite")
-    return float(implied[0] - sample[0] + np.trace(implied[1] @ S) - S.shape[0])
+    return parts[0]
 
 
 def _discrepancy_and_gradient(model: FactorModel, lam, phi, psi, S):
@@ -159,15 +165,13 @@ def _discrepancy_and_gradient(model: FactorModel, lam, phi, psi, S):
     common = lam_phi @ lam.T
     sigma = (common + common.T) / 2.0
     sigma[np.diag_indices(p)] += psi
-    parts = _cholesky_inverse(sigma)
+    parts = _discrepancy(sigma, S)
     if parts is None:
         return None
-    ldet_sig, sig_inv = parts
-    sig_inv_S = sig_inv @ S
+    f_part, sig_inv, sig_inv_S = parts
     # W = Sigma^-1 (Sigma - S) Sigma^-1, symmetric
     W = sig_inv - sig_inv_S @ sig_inv
     W = (W + W.T) / 2.0
-    f_part = ldet_sig + float(np.trace(sig_inv_S)) - p
     grad = np.empty(model.n_parameters)
     grad[: model.n_free_loadings] = 2.0 * (W @ lam_phi)[model.loading_cells]
     grad[model.n_free_loadings : model.psi_offset] = 2.0 * (lam.T @ W @ lam)[model.phi_pairs]
@@ -228,33 +232,7 @@ def _starting_point(model: FactorModel, opts: FitOptions) -> np.ndarray:
     psi0 = np.full(model.p, opts.psi_start)
     if opts.start_psi is not None:
         psi0 = np.maximum(np.asarray(opts.start_psi, dtype=float), model.psi_floor * 2.0)
-    if opts.perturbation > 0:
-        _perturb_nonsalient(model, lam0, opts)
     return pack(model, lam0, phi0, psi0)
-
-
-def _perturb_nonsalient(model: FactorModel, lam0: np.ndarray, opts: FitOptions) -> None:
-    """Alternate +/- nudges on zero-started secondary loadings, per block.
-
-    The alternation runs within each (block, unwanted factor) cell group so
-    the nudge is orthogonal to the equal-weight sum, breaking the start's
-    sign symmetry without an initial constraint violation.
-    """
-    rng = np.random.default_rng(opts.perturbation_seed)
-    blocks = model.pattern.blocks
-    for j in range(model.q):
-        for b in range(model.q):
-            if b == j:
-                continue
-            position = 0
-            for i in blocks[b]:
-                if (
-                    model.pattern.cells[i, j] is CellRole.NONSALIENT_FREE
-                    and lam0[i, j] == 0.0
-                ):
-                    sign = 1.0 if position % 2 == 0 else -1.0
-                    lam0[i, j] = sign * opts.perturbation * rng.uniform(0.5, 1.5)
-                    position += 1
 
 
 def _align_signs(model: FactorModel, lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

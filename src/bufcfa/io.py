@@ -191,9 +191,9 @@ def summaries_to_dict(summaries: list[CellSummary], records: list[RepRecord]) ->
 def write_result(payload, path) -> None:
     """Serialize a trace or grid output to JSON at full float precision.
 
-    Grid output is a list of cell summaries or a (summaries, records)
-    pair; either also produces ``<path stem>.cells.csv`` and
-    ``<path stem>.reps.csv`` tables next to the JSON document.
+    Grid output is a (summaries, records) pair, which also produces
+    ``<path stem>.cells.csv`` and ``<path stem>.reps.csv`` tables next to
+    the JSON document.
     """
     path = Path(path)
     summaries = records = None
@@ -205,9 +205,6 @@ def write_result(payload, path) -> None:
         and all(isinstance(s, CellSummary) for s in payload[0])
     ):
         summaries, records = list(payload[0]), list(payload[1])
-        doc = summaries_to_dict(summaries, records)
-    elif isinstance(payload, list) and all(isinstance(s, CellSummary) for s in payload):
-        summaries, records = payload, []
         doc = summaries_to_dict(summaries, records)
     else:
         raise InputError(f"cannot serialize object of type {type(payload).__name__}")
@@ -231,18 +228,14 @@ def _csv_value(v) -> str:
 
 def write_grid_tables(summaries, records, json_path) -> None:
     base = Path(json_path)
-    cells_path = base.with_suffix(".cells.csv")
-    reps_path = base.with_suffix(".reps.csv")
-    with cells_path.open("w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for s in summaries:
-            d = dataclasses.asdict(s)
-            fh.write(",".join(_csv_value(d[c]) for c in SUMMARY_COLUMNS) + "\n")
-    with reps_path.open("w") as fh:
-        fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for r in records:
-            d = dataclasses.asdict(r)
-            fh.write(",".join(_csv_value(d[c]) for c in RECORD_COLUMNS) + "\n")
+    for suffix, columns, rows in (
+        (".cells.csv", SUMMARY_COLUMNS, summaries),
+        (".reps.csv", RECORD_COLUMNS, records),
+    ):
+        with base.with_suffix(suffix).open("w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_csv_value(v) for v in dataclasses.astuple(row)) + "\n")
 
 
 def read_result(path) -> dict:

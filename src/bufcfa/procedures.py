@@ -7,13 +7,12 @@ inspectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constraints import (
-    ConstraintSet,
     build_fixed_weight_constraints,
     build_one_step_constraints,
     buffered_quality_index,
@@ -191,7 +190,7 @@ def specification_search(
 
     The index of each fixed-zero cell is the exact chi-square drop from
     refitting with that single cell freed; each refit starts from the
-    independent-clusters estimates with the caller's options and no nudge.
+    independent-clusters estimates with the caller's options.
     Per factor, at most ``max_freed_per_factor`` cells with index above
     ``mi_threshold`` are freed (largest first; ties break by factor then
     variable order), and the final model refits them simultaneously.  The
@@ -218,13 +217,12 @@ def specification_search(
     icm_starts = opts.with_starts(
         icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     )
-    refit_opts = replace(icm_starts, perturbation=0.0)
     scale = moments.n - 1
     mi_table = []
     refits_converged = True
     for (i, j) in zero_cells:
         freed_model = _phi_spec_model(pattern.with_cells_freed([(i, j)]), phi_spec)
-        freed_solution = fit(freed_model, None, moments, refit_opts)
+        freed_solution = fit(freed_model, None, moments, icm_starts)
         refits_converged = refits_converged and freed_solution.converged
         drop = scale * max(icm_solution.f_min - freed_solution.f_min, 0.0)
         mi_table.append((i, j, float(drop)))

@@ -10,7 +10,7 @@ replication), which makes grid results independent of execution order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .model import (
     FactorModel,
     LoadingPattern,
     PopulationModel,
-    standardizing_uniqueness,
 )
 
 # Sign of the first half-block of secondary loadings for q = 3, keyed by
@@ -201,61 +200,43 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class RepRecord:
+ESTIMATORS = ("icm", "buffered")
+METRICS = ("loading_rmsd", "salient_rmsd", "phi_rmsd", "rmsea")
+
+_DESIGN_FIELDS = [("salient", float), ("nonsalient", float), ("phi", float), ("n", int)]
+
+
+def _grid_dataclass(name: str, doc: str, fields: list) -> type:
+    namespace = {"__doc__": doc, "__module__": __name__}
+    return make_dataclass(name, fields, frozen=True, namespace=namespace)
+
+
+# Both tables are metric-major, estimator-minor: the column order of
+# docs/file_formats.md.
+RepRecord = _grid_dataclass(
+    "RepRecord",
     """Per-replication outcome for one grid cell.
 
     Loading accuracy is recorded twice: over every loading cell
     (``*_loading_rmsd``, which charges the independent-clusters fit for its
     structural zeros) and over the salient cells only
     (``*_salient_rmsd``, the estimated-loading accuracy both estimators
-    share).
-    """
+    share).  Metrics of a fit that did not converge are None.
+    """,
+    _DESIGN_FIELDS
+    + [("replication", int)]
+    + [(f"{e}_converged", bool) for e in ESTIMATORS]
+    + [(f"{e}_{m}", Optional[float]) for m in METRICS for e in ESTIMATORS],
+)
 
-    salient: float
-    nonsalient: float
-    phi: float
-    n: int
-    replication: int
-    icm_converged: bool
-    buffered_converged: bool
-    icm_loading_rmsd: Optional[float]
-    buffered_loading_rmsd: Optional[float]
-    icm_salient_rmsd: Optional[float]
-    buffered_salient_rmsd: Optional[float]
-    icm_phi_rmsd: Optional[float]
-    buffered_phi_rmsd: Optional[float]
-    icm_rmsea: Optional[float]
-    buffered_rmsea: Optional[float]
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    """Converged-replication means and standard errors for one cell."""
-
-    salient: float
-    nonsalient: float
-    phi: float
-    n: int
-    replications: int
-    icm_converged: int
-    buffered_converged: int
-    icm_loading_rmsd_mean: float
-    icm_loading_rmsd_se: float
-    buffered_loading_rmsd_mean: float
-    buffered_loading_rmsd_se: float
-    icm_salient_rmsd_mean: float
-    icm_salient_rmsd_se: float
-    buffered_salient_rmsd_mean: float
-    buffered_salient_rmsd_se: float
-    icm_phi_rmsd_mean: float
-    icm_phi_rmsd_se: float
-    buffered_phi_rmsd_mean: float
-    buffered_phi_rmsd_se: float
-    icm_rmsea_mean: float
-    icm_rmsea_se: float
-    buffered_rmsea_mean: float
-    buffered_rmsea_se: float
+CellSummary = _grid_dataclass(
+    "CellSummary",
+    "Converged-replication means and standard errors for one cell.",
+    _DESIGN_FIELDS
+    + [("replications", int)]
+    + [(f"{e}_converged", int) for e in ESTIMATORS]
+    + [(f"{e}_{m}_{stat}", float) for m in METRICS for e in ESTIMATORS for stat in ("mean", "se")],
+)
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -293,105 +274,56 @@ def run_cell(
     population = balanced_population(q, per_factor, l, anl, phi_value)
     icm_pattern = block_pattern(q, per_factor, "zero")
     buf_pattern = block_pattern(q, per_factor, "free")
-    if phi_value == 0.0:
-        icm_model = FactorModel.fixed_phi(icm_pattern, 0.0)
-        buf_model = FactorModel.fixed_phi(buf_pattern, 0.0)
-    else:
-        icm_model = FactorModel.free_phi(icm_pattern)
-        buf_model = FactorModel.free_phi(buf_pattern)
-    buf_constraints = build_one_step_constraints(buf_pattern)
-    icm_df = degrees_of_freedom(icm_model, None)
-    buf_df = degrees_of_freedom(buf_model, buf_constraints)
+    fits = {}
+    for label, pattern, cons in (
+        ("icm", icm_pattern, None),
+        ("buffered", buf_pattern, build_one_step_constraints(buf_pattern)),
+    ):
+        # Orthogonal populations are fitted with phi fixed at 0.
+        model = (
+            FactorModel.fixed_phi(pattern, 0.0) if phi_value == 0.0 else FactorModel.free_phi(pattern)
+        )
+        fits[label] = (model, cons, degrees_of_freedom(model, cons))
     loading_mask = np.ones_like(population.lam, dtype=bool)
-    salient_mask = np.array(
-        [
-            [icm_pattern.cells[i, j] is not CellRole.FIXED_ZERO for j in range(q)]
-            for i in range(q * per_factor)
-        ]
-    )
+    salient_mask = icm_pattern.cells != CellRole.FIXED_ZERO
     phi_mask = np.tril(np.ones((q, q), dtype=bool), k=-1)
 
     records = []
     for rep in range(grid.replications):
         seed = _replication_seed(grid.master_seed, cell, rep)
         _, moments = draw_sample(population.sigma, n, seed)
-        results = {}
-        for label, model, cons, df in (
-            ("icm", icm_model, None, icm_df),
-            ("buffered", buf_model, buf_constraints, buf_df),
-        ):
+        values = {}
+        for label in ESTIMATORS:
+            model, cons, df = fits[label]
             sol = fit(model, cons, moments, opts)
+            values[f"{label}_converged"] = bool(sol.converged)
+            metrics = (None,) * len(METRICS)
             if sol.converged:
                 lam_a, phi_a = align_to_population(sol.lambda_hat, sol.phi_hat, population.lam)
-                chi_sq = (n - 1) * sol.f_min
-                results[label] = (
+                metrics = (  # in METRICS order
                     rmsd(lam_a, population.lam, loading_mask),
                     rmsd(lam_a, population.lam, salient_mask),
                     rmsd(phi_a, population.phi, phi_mask),
-                    rmsea(chi_sq, df, n),
+                    rmsea((n - 1) * sol.f_min, df, n),
                 )
-            else:
-                results[label] = (None, None, None, None)
-        icm_r, buf_r = results["icm"], results["buffered"]
+            values.update((f"{label}_{m}", v) for m, v in zip(METRICS, metrics))
         records.append(
-            RepRecord(
-                salient=l,
-                nonsalient=anl,
-                phi=phi_value,
-                n=n,
-                replication=rep,
-                icm_converged=icm_r[0] is not None,
-                buffered_converged=buf_r[0] is not None,
-                icm_loading_rmsd=icm_r[0],
-                buffered_loading_rmsd=buf_r[0],
-                icm_salient_rmsd=icm_r[1],
-                buffered_salient_rmsd=buf_r[1],
-                icm_phi_rmsd=icm_r[2],
-                buffered_phi_rmsd=buf_r[2],
-                icm_rmsea=icm_r[3],
-                buffered_rmsea=buf_r[3],
-            )
+            RepRecord(salient=l, nonsalient=anl, phi=phi_value, n=n, replication=rep, **values)
         )
     return records
 
 
 def summarize_cell(cell_records: list[RepRecord]) -> CellSummary:
     first = cell_records[0]
-    icm_ok = [r for r in cell_records if r.icm_converged]
-    buf_ok = [r for r in cell_records if r.buffered_converged]
-    icm_load = _mean_se([r.icm_loading_rmsd for r in icm_ok])
-    buf_load = _mean_se([r.buffered_loading_rmsd for r in buf_ok])
-    icm_sal = _mean_se([r.icm_salient_rmsd for r in icm_ok])
-    buf_sal = _mean_se([r.buffered_salient_rmsd for r in buf_ok])
-    icm_phi = _mean_se([r.icm_phi_rmsd for r in icm_ok])
-    buf_phi = _mean_se([r.buffered_phi_rmsd for r in buf_ok])
-    icm_rmsea_ms = _mean_se([r.icm_rmsea for r in icm_ok])
-    buf_rmsea_ms = _mean_se([r.buffered_rmsea for r in buf_ok])
-    return CellSummary(
-        salient=first.salient,
-        nonsalient=first.nonsalient,
-        phi=first.phi,
-        n=first.n,
-        replications=len(cell_records),
-        icm_converged=len(icm_ok),
-        buffered_converged=len(buf_ok),
-        icm_loading_rmsd_mean=icm_load[0],
-        icm_loading_rmsd_se=icm_load[1],
-        buffered_loading_rmsd_mean=buf_load[0],
-        buffered_loading_rmsd_se=buf_load[1],
-        icm_salient_rmsd_mean=icm_sal[0],
-        icm_salient_rmsd_se=icm_sal[1],
-        buffered_salient_rmsd_mean=buf_sal[0],
-        buffered_salient_rmsd_se=buf_sal[1],
-        icm_phi_rmsd_mean=icm_phi[0],
-        icm_phi_rmsd_se=icm_phi[1],
-        buffered_phi_rmsd_mean=buf_phi[0],
-        buffered_phi_rmsd_se=buf_phi[1],
-        icm_rmsea_mean=icm_rmsea_ms[0],
-        icm_rmsea_se=icm_rmsea_ms[1],
-        buffered_rmsea_mean=buf_rmsea_ms[0],
-        buffered_rmsea_se=buf_rmsea_ms[1],
-    )
+    values = {}
+    for label in ESTIMATORS:
+        converged = [r for r in cell_records if getattr(r, f"{label}_converged")]
+        values[f"{label}_converged"] = len(converged)
+        for m in METRICS:
+            mean_se = _mean_se([getattr(r, f"{label}_{m}") for r in converged])
+            values[f"{label}_{m}_mean"], values[f"{label}_{m}_se"] = mean_se
+    design = {name: getattr(first, name) for name, _ in _DESIGN_FIELDS}
+    return CellSummary(**design, replications=len(cell_records), **values)
 
 
 def run_grid(

@@ -218,15 +218,25 @@ class TestFixedPhiSearch:
 class TestUsageErrors:
     """argparse's own exit code 2 would read as non-convergence."""
 
-    @pytest.mark.parametrize("extra", [[], ["--data", "x.dat", "--bogus"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("fit", [], "--data"),
+            ("fit", ["--data", "x.dat", "--bogus"], "--bogus"),
+            # The start-nudge seed is gone from fit and search.
+            ("fit", ["--data", "x.dat", "--seed", "3"], "--seed"),
+            ("search", ["--data", "x.dat", "--seed", "3"], "--seed"),
+        ],
+    )
     def test_usage_error_exits_1(self, data_dir, capsys, extra):
-        argv = ["fit", "--model", str(data_dir / "one_step.model")] + extra
+        command, args, named = extra
+        argv = [command, "--model", str(data_dir / "one_step.model")] + args
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "usage: bufcfa" in err
-        assert ("--bogus" if extra else "--data") in err
+        assert named in err
 
 
 class TestSimulateCommand:

@@ -227,7 +227,7 @@ class TestFit:
     def test_determinism(self, population_moments, free_pattern):
         model = FactorModel.free_phi(free_pattern)
         cset = build_one_step_constraints(free_pattern)
-        opts = FitOptions(perturbation_seed=7)
+        opts = FitOptions()
         a = fit(model, cset, population_moments, opts)
         b = fit(model, cset, population_moments, opts)
         assert np.array_equal(a.lambda_hat, b.lambda_hat)
@@ -453,7 +453,7 @@ class TestExpectedInformation:
             return solve(objective, information, z0, opts)
 
         monkeypatch.setattr(estimation, "_quasi_newton", capture)
-        opts = FitOptions(perturbation=0.0).with_starts(lam, phi, psi)
+        opts = FitOptions().with_starts(lam, phi, psi)
         fit(model, cset, SampleMoments(S), opts)
         objective, z0 = captured["objective"], captured["z0"]
         assert z0.size == model.n_parameters - len(cset)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,13 @@ from bufcfa.io import (
     write_result,
 )
 from bufcfa.procedures import multi_step, one_step
-from bufcfa.simulation import GridSpec, draw_sample, run_grid
+from bufcfa.simulation import CellSummary, GridSpec, draw_sample, run_grid
+
+
+def _documented_header(data_dir, table: str) -> str:
+    """The column line docs/file_formats.md gives under a table's name."""
+    lines = (data_dir.parent / "docs" / "file_formats.md").read_text().splitlines()
+    return lines[lines.index(f"`{table}`:") + 1].strip("`")
 
 
 class TestCorrelationInput:
@@ -103,7 +110,7 @@ class TestResultDocuments:
         assert steps[1]["weights"] is not None
         assert steps[1]["weight_gap"] > steps[2]["weight_gap"]
 
-    def test_grid_tables_written(self, tmp_path):
+    def test_grid_tables_written(self, tmp_path, data_dir):
         grid = GridSpec((0.6,), (0.0,), (0.0,), (300,), replications=2, master_seed=3)
         summaries, records = run_grid(grid)
         path = tmp_path / "grid.json"
@@ -112,19 +119,11 @@ class TestResultDocuments:
         reps = (tmp_path / "grid.reps.csv").read_text().splitlines()
         assert len(cells) == 2  # header + one cell
         assert len(reps) == 3  # header + two replications
-        header = cells[0].split(",")
-        assert header[:5] == ["salient", "nonsalient", "phi", "n", "replications"]
+        assert cells[0] == _documented_header(data_dir, "*.cells.csv")
+        assert reps[0] == _documented_header(data_dir, "*.reps.csv")
         doc = read_result(path)
         assert doc["kind"] == "grid_summary"
         assert len(doc["records"]) == 2
-
-    def test_bare_summary_list_accepted(self, tmp_path):
-        grid = GridSpec((0.6,), (0.0,), (0.0,), (300,), replications=2, master_seed=3)
-        summaries, _ = run_grid(grid)
-        path = tmp_path / "cells_only.json"
-        write_result(summaries, path)
-        assert read_result(path)["records"] == []
-        assert (tmp_path / "cells_only.cells.csv").exists()
 
     def test_unreadable_result(self, tmp_path):
         path = tmp_path / "nope.json"
@@ -137,6 +136,9 @@ class TestResultDocuments:
     def test_unsupported_payload(self, tmp_path):
         with pytest.raises(InputError):
             write_result({"kind": "other"}, tmp_path / "x.json")
+        summary = CellSummary(*[0] * len(dataclasses.fields(CellSummary)))
+        with pytest.raises(InputError):
+            write_result([summary], tmp_path / "x.json")
 
 
 def test_star_import_keeps_submodules_out():

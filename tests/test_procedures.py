@@ -223,11 +223,9 @@ class TestSpecificationSearch:
             assert opts.align_signs is False
             assert opts.feasibility_tol == 1e-6
             assert opts.psi_start == 0.4
-            assert opts.perturbation == 0.0
             assert opts.start_lambda is icm_solution.lambda_hat
             assert opts.start_psi is icm_solution.psi_hat
         assert received[-1].max_inner_iterations == 500
-        assert received[-1].perturbation == caller.perturbation
 
     def test_refit_nonconvergence_is_not_silent(self, population, icm_pattern, monkeypatch):
         calls = []
