@@ -50,7 +50,7 @@ from .io import (
     write_raw_data,
     write_result,
 )
-from .modelspec import ModelSpecDocument, format_model_spec, parse_model_spec
+from .modelspec import ModelSpecDocument, format_model_spec, parse_grid_document, parse_model_spec
 from .procedures import (
     ProcedureTrace,
     TraceStep,

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BufcfaError, InputError, ParseError
+from .errors import BufcfaError, InputError
 from .estimation import FitOptions
 from .io import read_correlation_matrix, read_raw_data, read_result, write_result
-from .modelspec import ModelSpecDocument, parse_model_spec
+from .modelspec import ModelSpecDocument, parse_grid_document, parse_model_spec
 from .procedures import ProcedureTrace, icm, multi_step, one_step, specification_search
 from .simulation import GridSpec, run_grid
 
@@ -140,51 +140,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_search(args) -> int:
     # A search fits no fixed-weight model, so it ignores a document's weights.
+    # The flags replace the document's bounds only when given.
+    flags = {"mi_threshold": args.threshold, "max_freed_per_factor": args.max_per_factor}
     doc = replace(
         _load_document(args.model),
         procedure="search",
-        mi_threshold=args.threshold,
-        max_freed_per_factor=args.max_per_factor,
         weights=None,
+        **{key: value for key, value in flags.items() if value is not None},
     )
     return _fit_document(doc, args)
-
-
-def _parse_grid_document(text: str) -> dict:
-    values: dict[str, object] = {}
-    diagnostics = []
-    list_keys = {
-        "salient_sizes": float,
-        "nonsalient_sizes": float,
-        "phi_values": float,
-        "sample_sizes": int,
-    }
-    int_keys = ("factors", "per_factor", "replications", "master_seed")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            diagnostics.append(f"line {lineno}: expected 'key: value', got {line!r}")
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        try:
-            if key in list_keys:
-                values[key] = tuple(list_keys[key](x) for x in value.split())
-            elif key in int_keys:
-                values[key] = int(value)
-            else:
-                diagnostics.append(f"line {lineno}: unknown key {key!r}")
-        except ValueError:
-            diagnostics.append(f"line {lineno}: malformed value {value!r} for {key}")
-    for required in list_keys:
-        if required not in values:
-            diagnostics.append(f"line 1: missing required key {required!r}")
-    if diagnostics:
-        raise ParseError(diagnostics)
-    return values
 
 
 def _cmd_simulate(args) -> int:
@@ -192,7 +156,7 @@ def _cmd_simulate(args) -> int:
         text = Path(args.grid).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {args.grid}: {exc}") from exc
-    values = _parse_grid_document(text)
+    values = parse_grid_document(text)
     if args.reps is not None:
         values["replications"] = args.reps
     if args.seed is not None:
@@ -264,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--model", required=True)
     p_search.add_argument("--data", required=True)
     p_search.add_argument("--n", type=int, default=None)
-    p_search.add_argument("--threshold", type=float, default=15.0)
-    p_search.add_argument("--max-per-factor", type=int, default=3)
+    p_search.add_argument("--threshold", type=float, help="overrides the document's mi_threshold")
+    p_search.add_argument("--max-per-factor", type=int, help="overrides max_freed_per_factor")
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=_cmd_search)
     return parser

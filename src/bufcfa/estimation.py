@@ -2,13 +2,13 @@
 
 The discrepancy is the standard ML fit function
 ``F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p``.  Constrained fits solve
-each balance constraint for one loading, so scipy's dense BFGS runs over
-the other parameters with every iterate feasible.  Uniquenesses are kept
-above their floor through a log transform of the optimization variable,
-never by clamping.  BFGS starts from the inverse of the expected
-information (the Fisher-scoring matrix of F) in the solver's coordinates,
-or from the identity where that matrix is not positive definite; if its
-line search stalls, Fisher-scoring steps finish the fit.
+each balance constraint for one loading, so this module's BFGS (:func:`minimize`)
+runs over the other parameters with every iterate feasible.  Uniquenesses
+stay above their floor through a log transform, never by clamping.  BFGS
+starts from the inverse of the expected information (the Fisher-scoring
+matrix of F) in the solver's coordinates, or from the identity where that
+is not positive definite.  It tries the full step, then halves it; if no
+step length decreases F enough, scoring steps finish the fit.
 
 Every evaluation factors Sigma once, with numpy's Cholesky and one p-wide
 triangular inversion (:func:`_cholesky_inverse`); the model's index arrays
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
 
 from .constraints import (
     ConstraintMode,
@@ -35,6 +35,9 @@ from .errors import NumericalError, StructureError
 from .model import CellRole, FactorModel, Solution, implied_covariance, pack, unpack
 
 _INFEASIBLE_F = 1e10
+# Line search: Armijo's sufficient-decrease constant, and halvings before a stall.
+_ARMIJO_C1 = 1e-4
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -375,14 +378,9 @@ def _quasi_newton(objective, information, z0, opts):
     res = minimize(
         objective,
         z0,
-        method="BFGS",
-        jac=True,
-        options={
-            "gtol": opts.gradient_tol,
-            "maxiter": opts.max_inner_iterations,
-            "norm": np.inf,
-            "hess_inv0": _pd_inverse(information(z0)),
-        },
+        hess_inv0=_pd_inverse(information(z0)),
+        gtol=opts.gradient_tol,
+        maxiter=opts.max_inner_iterations,
     )
     z, grad, nit = res.x, res.jac, res.nit
     while np.max(np.abs(grad)) >= opts.gradient_tol and nit < opts.max_inner_iterations:
@@ -395,6 +393,45 @@ def _quasi_newton(objective, information, z0, opts):
             break
         z, grad, nit = step, step_grad, nit + 1
     return z, float(np.max(np.abs(grad))), nit
+
+
+def minimize(objective, z0, *, hess_inv0, gtol, maxiter) -> OptimizeResult:
+    """Dense BFGS on ``objective(z) -> (F, gradient)``, from ``z0``.
+
+    The inverse Hessian starts at ``hess_inv0`` (the identity if None).  Each
+    iteration steps along ``d = -H g``: the full step first, halved until
+    ``F(z + a d) - F(z) <= c1 a g'd`` (Armijo), tested as a difference so that
+    a step too small to change F never passes; a trial at ``_INFEASIBLE_F``
+    simply fails it.  The solve stops once ``max|g| < gtol`` or after
+    ``maxiter`` iterations, and stalls where ``d`` is not downhill or no step
+    passes within ``_MAX_HALVINGS`` halvings.  The rank-2 inverse update is
+    skipped where ``s'y <= 0``.  Returns ``x``, ``jac``, ``nit`` and ``nfev``.
+    """
+    z = np.asarray(z0, dtype=float)
+    f, grad = objective(z)
+    H = np.eye(z.size) if hess_inv0 is None else np.array(hess_inv0, dtype=float)
+    nit, nfev = 0, 1
+    while np.max(np.abs(grad)) >= gtol and nit < maxiter:
+        direction = -(H @ grad)
+        slope = float(grad @ direction)
+        if not slope < 0:
+            break
+        for halving in range(_MAX_HALVINGS + 1):
+            step = direction * 0.5**halving
+            f_new, grad_new = objective(z + step)
+            nfev += 1
+            if f_new - f <= _ARMIJO_C1 * 0.5**halving * slope:
+                break
+        else:
+            break
+        change = grad_new - grad
+        z, f, grad, nit = z + step, f_new, grad_new, nit + 1
+        curvature = float(step @ change)
+        if curvature > 0:
+            h_change = H @ change
+            H += ((curvature + change @ h_change) / curvature**2) * np.outer(step, step)
+            H -= (np.outer(h_change, step) + np.outer(step, h_change)) / curvature
+    return OptimizeResult(x=z, jac=grad, nit=nit, nfev=nfev)
 
 
 def _pd_inverse(matrix: Optional[np.ndarray]) -> Optional[np.ndarray]:

@@ -15,6 +15,7 @@ ignored.  Keys:
     weights: x1=0.6 x2=0.6 ...        (optional, external fixed weights)
 
 ``parse_model_spec(format_model_spec(doc))`` reproduces ``doc`` exactly.
+:func:`parse_grid_document` reads ``.grid`` documents, in the same format.
 """
 
 from __future__ import annotations
@@ -276,3 +277,41 @@ def format_model_spec(doc: ModelSpecDocument) -> str:
             "weights: " + " ".join(f"{v}={doc.weights[v]!r}" for v in doc.variables)
         )
     return "\n".join(lines) + "\n"
+
+
+def parse_grid_document(text: str) -> dict:
+    """``GridSpec`` keyword arguments from a ``.grid`` document; one ParseError lists every bad line."""
+    values: dict[str, object] = {}
+    diagnostics = []
+    list_keys = {
+        "salient_sizes": float,
+        "nonsalient_sizes": float,
+        "phi_values": float,
+        "sample_sizes": int,
+    }
+    int_keys = ("factors", "per_factor", "replications", "master_seed")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            diagnostics.append(f"line {lineno}: expected 'key: value', got {line!r}")
+            continue
+        key, _, value = line.partition(":")
+        key = key.strip()
+        value = value.strip()
+        try:
+            if key in list_keys:
+                values[key] = tuple(list_keys[key](x) for x in value.split())
+            elif key in int_keys:
+                values[key] = int(value)
+            else:
+                diagnostics.append(f"line {lineno}: unknown key {key!r}")
+        except ValueError:
+            diagnostics.append(f"line {lineno}: malformed value {value!r} for {key}")
+    for required in list_keys:
+        if required not in values:
+            diagnostics.append(f"line 1: missing required key {required!r}")
+    if diagnostics:
+        raise ParseError(diagnostics)
+    return values

@@ -191,6 +191,21 @@ class TestSearchCommand:
         ])
         assert code == 2
 
+    def test_document_bounds_hold_without_flags(self, tmp_path, data_dir):
+        text = (data_dir / "one_step.model").read_text()
+        text = text.replace("procedure: one-step", "procedure: search\nmi_threshold: 0.5")
+        model = tmp_path / "search.model"
+        model.write_text(text)
+        patterns = {}
+        for command in ("fit", "search"):
+            out = tmp_path / f"{command}.json"
+            argv = [command, "--model", str(model), "--data", str(data_dir / "population_corr.dat")]
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            patterns[command] = read_result(out)["pattern"]["cells"]
+        assert patterns["fit"] == patterns["search"]
+        # The largest index here is about 8: the default threshold of 15 frees nothing.
+        assert sum(row.count("nonsalient") for row in patterns["fit"]) == 9
+
 
 class TestFixedPhiSearch:
     @pytest.mark.parametrize("command", ["fit", "search"])

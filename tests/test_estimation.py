@@ -483,7 +483,7 @@ class TestExpectedInformation:
         minimize = estimation.minimize
 
         def record(*args, **kwargs):
-            starts.append(kwargs["options"]["hess_inv0"])
+            starts.append(kwargs["hess_inv0"])
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(estimation, "minimize", record)
@@ -507,7 +507,7 @@ class TestExpectedInformation:
         minimize = estimation.minimize
 
         def stall(*args, **kwargs):
-            result = minimize(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 3}})
+            result = minimize(*args, **{**kwargs, "maxiter": 3})
             assert np.max(np.abs(result.jac)) > 1e-5
             return result
 
@@ -517,3 +517,82 @@ class TestExpectedInformation:
         assert finished.n_iterations > 3
         assert finished.f_min == pytest.approx(reference.f_min, abs=1e-9)
         assert np.max(np.abs(finished.lambda_hat - reference.lambda_hat)) < 1e-5
+
+
+def convex_quadratic(n=6, seed=3):
+    """F = z'Az/2 - b'z with the eigenvalues of A spread over [1, 4]."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(np.linspace(1.0, 4.0, n)) @ Q.T
+    A = (A + A.T) / 2.0
+    b = rng.standard_normal(n)
+    return A, b, lambda z: (0.5 * z @ A @ z - b @ z, A @ z - b)
+
+
+class TestMinimize:
+    def test_exact_inverse_hessian_takes_one_iteration(self):
+        A, b, objective = convex_quadratic()
+        result = estimation.minimize(
+            objective, np.zeros(6), hess_inv0=np.linalg.inv(A), gtol=1e-10, maxiter=50
+        )
+        assert result.nit == 1
+        assert np.allclose(result.x, np.linalg.solve(A, b), atol=1e-12)
+
+    def test_identity_start_converges_superlinearly(self):
+        # Finite termination in n steps needs exact line searches; backtracking
+        # from the full step takes 15 iterations here.  Steepest descent with
+        # the same line search (no inverse update) takes 43.
+        A, b, objective = convex_quadratic()
+        result = estimation.minimize(objective, np.zeros(6), hess_inv0=None, gtol=1e-7, maxiter=50)
+        assert np.max(np.abs(result.jac)) < 1e-7
+        assert result.nit <= 3 * 6
+        assert np.allclose(result.x, np.linalg.solve(A, b), atol=1e-6)
+
+    def test_nfev_counts_every_objective_call(self):
+        _, _, objective = convex_quadratic()
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return objective(z)
+
+        result = estimation.minimize(counted, np.zeros(6), hess_inv0=None, gtol=1e-7, maxiter=50)
+        assert result.nfev == len(calls) > result.nit
+
+    def test_maxiter_bounds_iterations(self):
+        _, _, objective = convex_quadratic()
+        result = estimation.minimize(objective, np.zeros(6), hess_inv0=None, gtol=1e-7, maxiter=2)
+        assert result.nit == 2
+        assert np.max(np.abs(result.jac)) > 1e-7
+
+    def test_infeasible_trials_backtrack(self):
+        # The full step from the origin lands at 4c, outside the ball of
+        # radius 2|c| where the objective reports the infeasible value.
+        c = np.array([0.3, -0.2, 0.1])
+        infeasible = []
+
+        def objective(z):
+            if np.linalg.norm(z) > 2.0 * np.linalg.norm(c):
+                infeasible.append(z)
+                return estimation._INFEASIBLE_F, np.zeros_like(z)
+            return 2.0 * (z - c) @ (z - c), 4.0 * (z - c)
+
+        result = estimation.minimize(objective, np.zeros(3), hess_inv0=None, gtol=1e-10, maxiter=50)
+        assert infeasible
+        assert np.max(np.abs(result.jac)) < 1e-10
+        assert np.allclose(result.x, c)
+
+    def test_no_descent_stalls_without_raising(self):
+        # A gradient that F does not follow: no step length passes.
+        flat = estimation.minimize(
+            lambda z: (1.0, np.ones_like(z)), np.zeros(4), hess_inv0=None, gtol=1e-7, maxiter=50
+        )
+        assert flat.nit == 0
+        assert flat.nfev == estimation._MAX_HALVINGS + 2
+        assert np.array_equal(flat.x, np.zeros(4))
+        # An uphill direction stops before any trial step.
+        _, _, objective = convex_quadratic()
+        uphill = estimation.minimize(
+            objective, np.zeros(6), hess_inv0=-np.eye(6), gtol=1e-7, maxiter=50
+        )
+        assert (uphill.nit, uphill.nfev) == (0, 1)

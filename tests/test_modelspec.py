@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bufcfa.errors import ParseError
-from bufcfa.modelspec import format_model_spec, parse_model_spec
+from bufcfa.modelspec import format_model_spec, parse_grid_document, parse_model_spec
 
 ONE_STEP_TEXT = """\
 variables: x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 x16 x17 x18
@@ -111,3 +111,35 @@ class TestRoundTrip:
         for name in ("one_step.model", "multi_step.model", "fixed_weights.model"):
             doc = parse_model_spec((data_dir / name).read_text())
             assert parse_model_spec(format_model_spec(doc)) == doc
+
+
+class TestGridDocument:
+    def test_shipped_grid(self, data_dir):
+        from bufcfa.simulation import GridSpec
+
+        values = parse_grid_document((data_dir / "accuracy_grid.grid").read_text())
+        assert values == {
+            "salient_sizes": (0.6,),
+            "nonsalient_sizes": (0.0, 0.1, 0.2),
+            "phi_values": (0.0,),
+            "sample_sizes": (300, 900),
+            "factors": 3,
+            "per_factor": 6,
+            "replications": 100,
+            "master_seed": 20240501,
+        }
+        assert len(GridSpec(**values).cells) == 6
+
+    def test_every_bad_line_reported(self):
+        text = "salient_sizes: 0.6\nnonsalient_sizes: x\nbogus: 1\nno colon\nfactors: 2.5\n"
+        with pytest.raises(ParseError) as exc:
+            parse_grid_document(text)
+        assert exc.value.diagnostics == [
+            "line 2: malformed value 'x' for nonsalient_sizes",
+            "line 3: unknown key 'bogus'",
+            "line 4: expected 'key: value', got 'no colon'",
+            "line 5: malformed value '2.5' for factors",
+            "line 1: missing required key 'nonsalient_sizes'",
+            "line 1: missing required key 'phi_values'",
+            "line 1: missing required key 'sample_sizes'",
+        ]
