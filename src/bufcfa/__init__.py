@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
-from .estimation import FitOptions, SampleMoments, fit, ml_discrepancy, ml_gradient
+from .estimation import SampleMoments, fit, ml_discrepancy, ml_gradient
 from .fit_indices import (
     FitReport,
     baseline_fit,

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BufcfaError, InputError
-from .estimation import FitOptions
 from .io import read_correlation_matrix, read_raw_data, read_result, write_result
 from .modelspec import ModelSpecDocument, parse_grid_document, parse_model_spec
 from .procedures import ProcedureTrace, icm, multi_step, one_step, specification_search
@@ -94,21 +93,20 @@ def _print_trace_summary(doc: ModelSpecDocument, trace: ProcedureTrace) -> None:
     print(_format_matrix(final.solution.psi_hat[:, None], doc.variables, ("psi",)))
 
 
-def _run_document(doc: ModelSpecDocument, moments, opts: FitOptions) -> ProcedureTrace:
+def _run_document(doc: ModelSpecDocument, moments) -> ProcedureTrace:
     pattern = doc.pattern("zero")
     if doc.weights is not None and doc.procedure != "multi-step":
         raise InputError("external weights are only used by the multi-step procedure")
     if doc.procedure == "icm":
-        return icm(pattern, doc.phi_value(), moments, opts)
+        return icm(pattern, doc.phi_value(), moments)
     if doc.procedure == "one-step":
-        return one_step(pattern, doc.phi_value(), moments, opts)
+        return one_step(pattern, doc.phi_value(), moments)
     if doc.procedure == "multi-step":
         phi_value = doc.phi_value()
         phi_fix = None if isinstance(phi_value, str) else phi_value
         return multi_step(
             pattern,
             moments,
-            opts,
             weight_tol=doc.weight_tolerance,
             max_rounds=doc.max_rounds,
             initial_weights=doc.weight_vector(),
@@ -117,7 +115,6 @@ def _run_document(doc: ModelSpecDocument, moments, opts: FitOptions) -> Procedur
     return specification_search(
         pattern,
         moments,
-        opts,
         mi_threshold=doc.mi_threshold,
         max_freed_per_factor=doc.max_freed_per_factor,
         phi_spec=doc.phi_value(),
@@ -127,7 +124,7 @@ def _run_document(doc: ModelSpecDocument, moments, opts: FitOptions) -> Procedur
 def _fit_document(doc: ModelSpecDocument, args) -> int:
     """Run a document against ``--data``, write ``--out``, print, and give the exit code."""
     moments = _load_moments(args.data, args.n)
-    trace = _run_document(doc, moments, FitOptions())
+    trace = _run_document(doc, moments)
     if args.out:
         write_result(trace, args.out)
     _print_trace_summary(doc, trace)
@@ -162,7 +159,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         values["master_seed"] = args.seed
     grid = GridSpec(**values)
-    summaries, records = run_grid(grid, FitOptions())
+    summaries, records = run_grid(grid)
     write_result((summaries, records), args.out)
     print(f"{len(summaries)} cells x {grid.replications} replications "
           f"-> {args.out} (+ .cells.csv, .reps.csv)")

@@ -17,7 +17,7 @@ and the constraint set's flat arrays do the rest without Python loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,14 @@ _INFEASIBLE_F = 1e10
 # Line search: Armijo's sufficient-decrease constant, and halvings before a stall.
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 30
+# A fit converges once max|reduced gradient| < GRADIENT_TOL and every
+# constraint residual is below FEASIBILITY_TOL.  MAX_ITERATIONS bounds the
+# whole fit: BFGS iterations plus any finishing scoring steps.
+GRADIENT_TOL = 1e-7
+FEASIBILITY_TOL = 1e-8
+MAX_ITERATIONS = 2000
+# Cold start: salient loadings and uniquenesses here, the rest at zero.
+_COLD_START = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,36 +85,6 @@ class SampleMoments:
     @property
     def p(self) -> int:
         return self.S.shape[0]
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Solver controls.  All tolerances are strictly positive.
-
-    ``max_inner_iterations`` bounds the iterations of the whole fit: BFGS
-    iterations plus any finishing scoring steps.  ``feasibility_tol``
-    bounds the constraint residuals of a converged fit.
-    """
-
-    gradient_tol: float = 1e-7
-    feasibility_tol: float = 1e-8
-    max_inner_iterations: int = 2000
-    salient_start: float = 0.5
-    psi_start: float = 0.5
-    align_signs: bool = True
-    start_lambda: Optional[np.ndarray] = None
-    start_phi: Optional[np.ndarray] = None
-    start_psi: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for name in ("gradient_tol", "feasibility_tol"):
-            if not getattr(self, name) > 0:
-                raise StructureError(f"{name} must be positive")
-
-    def with_starts(
-        self, lam: np.ndarray, phi: np.ndarray, psi: np.ndarray
-    ) -> "FitOptions":
-        return replace(self, start_lambda=lam, start_phi=phi, start_psi=psi)
 
 
 def _cholesky(matrix: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
@@ -223,19 +201,13 @@ def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndar
     return 2.0 * (x_px * y_py + x_py * x_py.T)
 
 
-def _starting_point(model: FactorModel, opts: FitOptions) -> np.ndarray:
-    """Packed starting vector per the starting-value policy."""
-    lam0 = np.where(model.pattern.cells == CellRole.SALIENT_FREE, opts.salient_start, 0.0)
-    if opts.start_lambda is not None:
-        lam0[model.loading_cells] = np.asarray(opts.start_lambda, dtype=float)[model.loading_cells]
-    phi0 = model.phi_base.copy()
-    if opts.start_phi is not None:
-        rows, cols = model.phi_pairs
-        phi0[rows, cols] = phi0[cols, rows] = np.asarray(opts.start_phi, dtype=float)[rows, cols]
-    psi0 = np.full(model.p, opts.psi_start)
-    if opts.start_psi is not None:
-        psi0 = np.maximum(np.asarray(opts.start_psi, dtype=float), model.psi_floor * 2.0)
-    return pack(model, lam0, phi0, psi0)
+def _starting_point(model: FactorModel, start) -> np.ndarray:
+    """Packed start from a ``(lambda, phi, psi)`` triple, or the cold start if None."""
+    if start is None:
+        salient = model.pattern.cells == CellRole.SALIENT_FREE
+        start = np.where(salient, _COLD_START, 0.0), model.phi_base, np.full(model.p, _COLD_START)
+    lam, phi, psi = start
+    return pack(model, lam, phi, np.maximum(psi, 2 * model.psi_floor))
 
 
 def _align_signs(model: FactorModel, lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,9 +240,13 @@ def fit(
     model: FactorModel,
     constraints: Optional[ConstraintSet],
     moments: SampleMoments,
-    opts: FitOptions = FitOptions(),
+    start=None,
 ) -> Solution:
     """Minimize the ML discrepancy, subject to any balance constraints.
+
+    ``start`` is a ``(lambda, phi, psi)`` triple, such as an earlier
+    solution's estimates; only its free entries are read.  Without one the
+    fit starts cold.
 
     Each constraint is solved for its pivot (``choose_pivots``) and BFGS
     runs over the other parameters on the reduced gradient ``g - J' mu``,
@@ -305,7 +281,8 @@ def fit(
         """Full parameters at a solver point, pivots solved."""
         theta = np.zeros(model.n_parameters)
         theta[keep] = z
-        theta[log_psi] = model.psi_floor + np.exp(theta[log_psi])
+        with np.errstate(over="ignore"):  # a wild trial step lands on _INFEASIBLE_F
+            theta[log_psi] = model.psi_floor + np.exp(theta[log_psi])
         lam, phi, psi = unpack(model, theta)
         if m:
             # The pivots arrive at zero, so each residual leaves its pivot out.
@@ -341,12 +318,11 @@ def fit(
             T[pivots.params] = -jac[:, keep] / jac[np.arange(m), pivots.params][:, None]
         return T.T @ info @ T
 
-    theta = _starting_point(model, opts)
+    theta = _starting_point(model, start)
     theta[log_psi] = np.log(np.maximum(theta[log_psi] - model.psi_floor, 1e-300))
-    z, grad_norm, n_iterations = _quasi_newton(objective, information, theta[keep], opts)
+    z, grad_norm, n_iterations = _quasi_newton(objective, information, theta[keep])
     _, lam, phi, psi = point(z)
-    if opts.align_signs:
-        lam, phi = _align_signs(model, lam, phi)
+    lam, phi = _align_signs(model, lam, phi)
     f_min = ml_discrepancy(S, implied_covariance(lam, phi, psi))
     residuals = evaluate_lambda(constraints, lam) if m else np.zeros(0)
     return Solution(
@@ -355,35 +331,33 @@ def fit(
         psi_hat=psi,
         f_min=f_min,
         n_iterations=n_iterations,
-        converged=bool(
-            grad_norm < opts.gradient_tol and np.all(np.abs(residuals) < opts.feasibility_tol)
-        ),
+        converged=bool(grad_norm < GRADIENT_TOL and np.all(np.abs(residuals) < FEASIBILITY_TOL)),
         constraint_residuals=residuals,
         gradient_norm=float(grad_norm),
     )
 
 
-def _quasi_newton(objective, information, z0, opts):
+def _quasi_newton(objective, information, z0):
     """One dense BFGS solve, then Fisher-scoring steps if it stalled.
 
     BFGS starts from the inverse of ``information`` at ``z0``, or from the
     identity where that is not positive definite.  Near the optimum the
     rounding error of F can stall its line search a hair above
-    ``opts.gradient_tol``.  Scoring steps ``z - information(z)^-1 g`` need
+    ``GRADIENT_TOL``.  Scoring steps ``z - information(z)^-1 g`` need
     no function values; each is taken only while it keeps Sigma positive
     definite and halves the gradient norm.  BFGS iterations and scoring
-    steps share ``opts.max_inner_iterations``.  Returns the final point
+    steps share ``MAX_ITERATIONS``.  Returns the final point
     with its gradient norm and the iterations used.
     """
     res = minimize(
         objective,
         z0,
         hess_inv0=_pd_inverse(information(z0)),
-        gtol=opts.gradient_tol,
-        maxiter=opts.max_inner_iterations,
+        gtol=GRADIENT_TOL,
+        maxiter=MAX_ITERATIONS,
     )
     z, grad, nit = res.x, res.jac, res.nit
-    while np.max(np.abs(grad)) >= opts.gradient_tol and nit < opts.max_inner_iterations:
+    while np.max(np.abs(grad)) >= GRADIENT_TOL and nit < MAX_ITERATIONS:
         inverse = _pd_inverse(information(z))
         if inverse is None:
             break

@@ -136,22 +136,12 @@ def parse_model_spec(text: str) -> ModelSpecDocument:
                     err(lineno, f"unknown variable {v!r} in factor {fname!r}")
             factors.append(fname)
             salient[fname] = members
-        elif key == "phi":
-            if value == "free":
-                phi_all = ("free", lineno)
-            else:
-                num = _parse_number(value)
-                if num is None:
-                    err(lineno, f"malformed phi value {value!r}")
-                else:
-                    phi_all = (num, lineno)
-        elif key.startswith("phi "):
+        elif key == "phi" or key.startswith("phi "):
             parts = key.split()
-            if len(parts) != 3:
+            if len(parts) not in (1, 3):
                 err(lineno, f"expected 'phi <factor> <factor>', got {key!r}")
                 continue
-            fa, fb = parts[1], parts[2]
-            if fa == fb:
+            if len(parts) == 3 and parts[1] == parts[2]:
                 err(lineno, "phi pair must name two distinct factors")
                 continue
             if value == "free":
@@ -165,6 +155,10 @@ def parse_model_spec(text: str) -> ModelSpecDocument:
                     err(lineno, f"fixed phi value {num} outside (-1, 1)")
                     continue
                 entry = num
+            if len(parts) == 1:
+                phi_all = (entry, lineno)
+                continue
+            fa, fb = parts[1], parts[2]
             pair = (fa, fb)
             if pair in phi_entries or (fb, fa) in phi_entries:
                 err(lineno, f"duplicate phi entry for {fa}/{fb}")
@@ -175,18 +169,13 @@ def parse_model_spec(text: str) -> ModelSpecDocument:
                 err(lineno, f"unknown procedure {value!r}; expected one of {', '.join(PROCEDURES)}")
             else:
                 options["procedure"] = value
-        elif key == "weight_tolerance":
+        elif key in ("weight_tolerance", "mi_threshold"):
             num = _parse_number(value)
-            if num is None or num <= 0:
-                err(lineno, f"weight_tolerance must be a positive number, got {value!r}")
+            if num is None or not np.isfinite(num) or (key == "weight_tolerance" and num <= 0):
+                kind = "positive finite" if key == "weight_tolerance" else "finite"
+                err(lineno, f"{key} must be a {kind} number, got {value!r}")
             else:
-                options["weight_tolerance"] = num
-        elif key == "mi_threshold":
-            num = _parse_number(value)
-            if num is None:
-                err(lineno, f"mi_threshold must be a number, got {value!r}")
-            else:
-                options["mi_threshold"] = num
+                options[key] = num
         elif key in ("max_rounds", "max_freed_per_factor"):
             try:
                 options[key] = int(value)

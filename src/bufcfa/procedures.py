@@ -18,7 +18,7 @@ from .constraints import (
     buffered_quality_index,
 )
 from .errors import StructureError
-from .estimation import FitOptions, SampleMoments, fit
+from .estimation import SampleMoments, fit
 from .fit_indices import FitReport, build_report
 from .model import CellRole, FactorModel, LoadingPattern, Solution
 
@@ -68,27 +68,17 @@ def _phi_spec_model(pattern: LoadingPattern, phi_spec) -> FactorModel:
     return FactorModel.fixed_phi(pattern, phi_spec)
 
 
-def icm(
-    pattern: LoadingPattern,
-    phi_spec,
-    moments: SampleMoments,
-    opts: FitOptions = FitOptions(),
-) -> ProcedureTrace:
+def icm(pattern: LoadingPattern, phi_spec, moments: SampleMoments) -> ProcedureTrace:
     """Plain independent-clusters fit (secondary loadings fixed to zero)."""
     icm_pattern = pattern.with_nonsalient_zero()
     model = _phi_spec_model(icm_pattern, phi_spec)
-    solution = fit(model, None, moments, opts)
+    solution = fit(model, None, moments)
     report = build_report(model, None, moments, solution)
     step = TraceStep("icm", solution, report)
     return ProcedureTrace("icm", icm_pattern, (step,), solution.converged)
 
 
-def one_step(
-    pattern: LoadingPattern,
-    phi_spec,
-    moments: SampleMoments,
-    opts: FitOptions = FitOptions(),
-) -> ProcedureTrace:
+def one_step(pattern: LoadingPattern, phi_spec, moments: SampleMoments) -> ProcedureTrace:
     """Single constrained fit with self-weighted balance constraints.
 
     Every fixed-zero secondary cell of the pattern is freed; ``phi_spec``
@@ -98,7 +88,7 @@ def one_step(
     free_pattern = pattern.with_nonsalient_free()
     model = _phi_spec_model(free_pattern, phi_spec)
     constraints = build_one_step_constraints(free_pattern)
-    solution = fit(model, constraints, moments, opts)
+    solution = fit(model, constraints, moments)
     report = build_report(model, constraints, moments, solution)
     step = TraceStep("one-step", solution, report)
     return ProcedureTrace("one-step", free_pattern, (step,), solution.converged)
@@ -107,7 +97,6 @@ def one_step(
 def multi_step(
     pattern: LoadingPattern,
     moments: SampleMoments,
-    opts: FitOptions = FitOptions(),
     weight_tol: float = 1e-4,
     max_rounds: int = 10,
     initial_weights=None,
@@ -125,21 +114,25 @@ def multi_step(
     solution) skips the initial fit; it then requires ``phi_fix``, the
     fixed inter-factor correlations for the constrained steps.  ``phi_fix``
     alone overrides the correlations the constrained steps are fixed at.
+    An improper initial fit, with an estimated correlation beyond
+    [-1, 1], gives no correlations to fix: the trace then ends there,
+    unconverged.
     """
     if max_rounds < 2:
         raise StructureError("max_rounds must be at least 2")
     free_pattern = pattern.with_nonsalient_free()
     steps = []
-    previous = None
+    start = None
     if initial_weights is None:
-        steps.append(icm(pattern, "free", moments, opts).final)
+        steps.append(icm(pattern, "free", moments).final)
         icm_solution = steps[0].solution
-        if not icm_solution.converged:
+        improper = phi_fix is None and np.max(np.abs(icm_solution.phi_hat)) > 1.0
+        if not icm_solution.converged or improper:
             return ProcedureTrace("multi-step", free_pattern, tuple(steps), False)
         weights = _salient_estimates(pattern, icm_solution)
         if phi_fix is None:
             phi_fix = icm_solution.phi_hat
-        previous = icm_solution
+        start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     else:
         weights = np.asarray(initial_weights, dtype=float)
         if phi_fix is None:
@@ -150,13 +143,7 @@ def multi_step(
     converged = False
     for round_no in range(2, max_rounds + 1):
         constraints = build_fixed_weight_constraints(free_pattern, weights)
-        if previous is not None:
-            step_opts = opts.with_starts(
-                previous.lambda_hat, previous.phi_hat, previous.psi_hat
-            )
-        else:
-            step_opts = opts
-        solution = fit(model, constraints, moments, step_opts)
+        solution = fit(model, constraints, moments, start)
         estimates = _salient_estimates(free_pattern, solution)
         gap = float(np.max(np.abs(estimates - weights)))
         steps.append(
@@ -174,14 +161,13 @@ def multi_step(
             converged = True
             break
         weights = estimates
-        previous = solution
+        start = solution.lambda_hat, solution.phi_hat, solution.psi_hat
     return ProcedureTrace("multi-step", free_pattern, tuple(steps), converged)
 
 
 def specification_search(
     pattern: LoadingPattern,
     moments: SampleMoments,
-    opts: FitOptions = FitOptions(),
     mi_threshold: float = 15.0,
     max_freed_per_factor: int = 3,
     phi_spec="free",
@@ -190,7 +176,7 @@ def specification_search(
 
     The index of each fixed-zero cell is the exact chi-square drop from
     refitting with that single cell freed; each refit starts from the
-    independent-clusters estimates with the caller's options.
+    independent-clusters estimates.
     Per factor, at most ``max_freed_per_factor`` cells with index above
     ``mi_threshold`` are freed (largest first; ties break by factor then
     variable order), and the final model refits them simultaneously.  The
@@ -200,8 +186,10 @@ def specification_search(
     """
     if moments.n is None:
         raise StructureError("specification search requires a sample size")
+    if max_freed_per_factor < 0:
+        raise StructureError("max_freed_per_factor must be nonnegative")
     icm_model = _phi_spec_model(pattern, phi_spec)
-    icm_solution = fit(icm_model, None, moments, opts)
+    icm_solution = fit(icm_model, None, moments)
     steps = [
         TraceStep("icm", icm_solution, build_report(icm_model, None, moments, icm_solution))
     ]
@@ -214,15 +202,13 @@ def specification_search(
         for j in range(pattern.q)
         if pattern.cells[i, j] is CellRole.FIXED_ZERO
     ]
-    icm_starts = opts.with_starts(
-        icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
-    )
+    icm_start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     scale = moments.n - 1
     mi_table = []
     refits_converged = True
     for (i, j) in zero_cells:
         freed_model = _phi_spec_model(pattern.with_cells_freed([(i, j)]), phi_spec)
-        freed_solution = fit(freed_model, None, moments, icm_starts)
+        freed_solution = fit(freed_model, None, moments, icm_start)
         refits_converged = refits_converged and freed_solution.converged
         drop = scale * max(icm_solution.f_min - freed_solution.f_min, 0.0)
         mi_table.append((i, j, float(drop)))
@@ -238,7 +224,7 @@ def specification_search(
 
     if chosen:
         final_model = _phi_spec_model(pattern.with_cells_freed(chosen), phi_spec)
-        final_solution = fit(final_model, None, moments, icm_starts)
+        final_solution = fit(final_model, None, moments, icm_start)
         final_report = build_report(final_model, None, moments, final_solution)
     else:
         final_model, final_solution, final_report = icm_model, icm_solution, steps[0].report

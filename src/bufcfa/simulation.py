@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .constraints import build_one_step_constraints
 from .errors import NumericalError, StructureError
-from .estimation import FitOptions, SampleMoments, fit
+from .estimation import SampleMoments, fit
 from .fit_indices import degrees_of_freedom, rmsea
 from .model import (
     CellRole,
@@ -172,6 +172,8 @@ class GridSpec:
             raise StructureError(f"factors must be at least 2, got {self.factors}")
         if self.per_factor < 1:
             raise StructureError(f"per_factor must be at least 1, got {self.per_factor}")
+        if self.master_seed < 0:
+            raise StructureError(f"master_seed must be nonnegative, got {self.master_seed}")
         p = self.factors * self.per_factor
         if any(n <= p for n in self.sample_sizes):
             raise StructureError(
@@ -180,9 +182,14 @@ class GridSpec:
         if any(a != 0.0 for a in self.nonsalient_sizes) and self.per_factor % 2 != 0:
             raise StructureError("per-factor count must be even for nonzero secondary sizes")
         for name in ("salient_sizes", "nonsalient_sizes", "phi_values"):
-            values = set(getattr(self, name))
+            values = getattr(self, name)
+            if not values or not all(-1.0 <= x <= 1.0 for x in values):
+                raise StructureError(f"{name} {values}: give one or more values in [-1, 1]")
+            # Keys are counted against every value, so exact repeats count too.
             if len({_design_key(x) for x in values}) < len(values):
-                raise StructureError(f"{name} {sorted(values)}: values equal to 0.001 share samples")
+                raise StructureError(f"{name} {values}: values equal to 0.001 share samples")
+        if not self.sample_sizes or len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise StructureError(f"sample_sizes {self.sample_sizes}: give one or more distinct sizes")
         for l, anl, phi in itertools.product(
             self.salient_sizes, self.nonsalient_sizes, self.phi_values
         ):
@@ -265,9 +272,7 @@ def _replication_seed(master_seed: int, cell: tuple, replication: int):
     return np.random.SeedSequence(key)
 
 
-def run_cell(
-    grid: GridSpec, cell: tuple[float, float, float, int], opts: FitOptions
-) -> list[RepRecord]:
+def run_cell(grid: GridSpec, cell: tuple[float, float, float, int]) -> list[RepRecord]:
     """All replications of one design cell."""
     l, anl, phi_value, n = cell
     q, per_factor = grid.factors, grid.per_factor
@@ -295,7 +300,7 @@ def run_cell(
         values = {}
         for label in ESTIMATORS:
             model, cons, df = fits[label]
-            sol = fit(model, cons, moments, opts)
+            sol = fit(model, cons, moments)
             values[f"{label}_converged"] = bool(sol.converged)
             metrics = (None,) * len(METRICS)
             if sol.converged:
@@ -326,14 +331,12 @@ def summarize_cell(cell_records: list[RepRecord]) -> CellSummary:
     return CellSummary(**design, replications=len(cell_records), **values)
 
 
-def run_grid(
-    grid: GridSpec, opts: FitOptions = FitOptions()
-) -> tuple[list[CellSummary], list[RepRecord]]:
+def run_grid(grid: GridSpec) -> tuple[list[CellSummary], list[RepRecord]]:
     """Run every cell of the grid; returns summaries plus raw records."""
     summaries = []
     all_records = []
     for cell in grid.cells:
-        cell_records = run_cell(grid, cell, opts)
+        cell_records = run_cell(grid, cell)
         all_records.extend(cell_records)
         summaries.append(summarize_cell(cell_records))
     return summaries, all_records

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bufcfa.estimation import SampleMoments
@@ -34,3 +35,14 @@ def free_pattern():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture(scope="session")
+def improper_icm_corr():
+    """12 variables in 3 blocks of 4: r .30 within blocks, .40 between blocks
+    0 and 1, .10 elsewhere.  The ICM fit converges with phi_01 = .40 / .30."""
+    blocks = np.repeat(np.arange(3), 4)
+    R = np.where(blocks[:, None] == blocks[None, :], 0.30, 0.10)
+    R[np.ix_(blocks == 0, blocks == 1)] = R[np.ix_(blocks == 1, blocks == 0)] = 0.40
+    np.fill_diagonal(R, 1.0)
+    return R

@@ -36,7 +36,7 @@ from bufcfa.constraints import (
     buffered_quality_index,
     swap_members,
 )
-from bufcfa.estimation import FitOptions, SampleMoments, fit, ml_discrepancy, ml_gradient
+from bufcfa.estimation import FEASIBILITY_TOL, SampleMoments, fit, ml_discrepancy, ml_gradient
 from bufcfa.fit_indices import degrees_of_freedom, rmsea, srmr
 from bufcfa.model import (
     CellRole,
@@ -72,7 +72,7 @@ def desk_grid():
         master_seed=20240501,
     )
     start = time.perf_counter()
-    summaries, records = run_grid(grid, FitOptions())
+    summaries, records = run_grid(grid)
     elapsed = time.perf_counter() - start
     return summaries, records, elapsed
 
@@ -180,11 +180,9 @@ def test_criterion_4_misplaced_constraint_rejection(population, population_momen
     cset = build_fixed_weight_constraints(free_pattern, weights)
     swapped = swap_members(cset, [(4, 5), (4, 9)])  # x5<->x6, then x5<->x10
     model = FactorModel.fixed_phi(free_pattern, 0.304)
-    opts = FitOptions().with_starts(
-        icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
-    )
-    solution = fit(model, swapped, population_moments, opts)
-    correct = fit(model, cset, population_moments, opts)
+    start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+    solution = fit(model, swapped, population_moments, start)
+    correct = fit(model, cset, population_moments, start)
     oracle = elimination_optimum(model, swapped, population.sigma)
 
     def srmr_of(lam, phi, psi):
@@ -195,7 +193,7 @@ def test_criterion_4_misplaced_constraint_rejection(population, population_momen
     srmr_correct = srmr_of(correct.lambda_hat, correct.phi_hat, correct.psi_hat)
     ok = (
         solution.converged
-        and solution.max_constraint_residual < FitOptions().feasibility_tol
+        and solution.max_constraint_residual < FEASIBILITY_TOL
         and abs(solution.f_min - oracle.f_min) <= 1e-6
         and abs(srmr_value - srmr_oracle) <= 1e-4
         and correct.converged
@@ -376,8 +374,8 @@ def test_criterion_8d_quality_zero_on_balanced_populations():
 
 def test_criterion_8e_deterministic_grid_replay():
     grid = GridSpec((0.6,), (0.0, 0.2), (0.3,), (300,), replications=4, master_seed=31)
-    s1, r1 = run_grid(grid, FitOptions())
-    s2, r2 = run_grid(grid, FitOptions())
+    s1, r1 = run_grid(grid)
+    s2, r2 = run_grid(grid)
     ok = [dataclasses.asdict(a) for a in s1] == [dataclasses.asdict(b) for b in s2] and [
         dataclasses.asdict(a) for a in r1
     ] == [dataclasses.asdict(b) for b in r2]

@@ -116,8 +116,8 @@ class TestFitCommand:
 
         real = procedures.one_step
 
-        def stubborn(pattern, phi_spec, moments, opts):
-            trace = real(pattern, phi_spec, moments, opts)
+        def stubborn(pattern, phi_spec, moments):
+            trace = real(pattern, phi_spec, moments)
             object.__setattr__(trace, "converged", False)
             return trace
 
@@ -128,6 +128,50 @@ class TestFitCommand:
             "--data", str(data_dir / "population_corr.dat"),
         ])
         assert code == 2
+
+    def test_improper_icm_correlation_exits_2(self, tmp_path, improper_icm_corr):
+        # The ICM step estimates phi_01 = 1.333: an estimation outcome, not an input error.
+        data = tmp_path / "improper.dat"
+        rows = (" ".join(repr(float(v)) for v in row) for row in improper_icm_corr)
+        data.write_text("n: 300\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "multi.model"
+        model.write_text(
+            "variables: " + " ".join(f"x{i}" for i in range(1, 13)) + "\n"
+            + "".join(f"factor F{j}: " + " ".join(f"x{4 * j - k}" for k in (3, 2, 1, 0)) + "\n"
+                      for j in (1, 2, 3))
+            + "procedure: multi-step\n"
+        )
+        assert cli.main(["fit", "--model", str(model), "--data", str(data)]) == 2
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("phi: free", "phi: nan", "line 7: fixed phi value nan outside (-1, 1)"),
+            ("phi: free", "phi: 1.5", "line 7: fixed phi value 1.5 outside (-1, 1)"),
+            ("procedure: one-step", "mi_threshold: nan", "line 8: mi_threshold must be a finite"),
+            ("procedure: one-step", "weight_tolerance: nan",
+             "line 8: weight_tolerance must be a positive finite"),
+            ("procedure: one-step", "procedure: search\nmax_freed_per_factor: -1",
+             "max_freed_per_factor must be nonnegative"),
+        ],
+    )
+    def test_misread_document_values_are_input_errors(
+        self, tmp_path, data_dir, capsys, monkeypatch, old, new, message
+    ):
+        import bufcfa.procedures as procedures
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(procedures, "fit", no_fit)
+        text = (data_dir / "one_step.model").read_text()
+        model = tmp_path / "bad.model"
+        model.write_text(text.replace(old, new))
+        code = cli.main([
+            "fit", "--model", str(model), "--data", str(data_dir / "population_corr.dat"),
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 class TestQualityCommand:
@@ -175,8 +219,8 @@ class TestSearchCommand:
         calls = []
         real_fit = procedures.fit
 
-        def second_refit_fails(model, constraints, moments, opts):
-            solution = real_fit(model, constraints, moments, opts)
+        def second_refit_fails(model, constraints, moments, start=None):
+            solution = real_fit(model, constraints, moments, start)
             calls.append(model)
             if len(calls) == 3:
                 return dataclasses.replace(solution, converged=False)
@@ -294,6 +338,10 @@ class TestSimulateCommand:
             ("per_factor: -2", "per_factor must be at least 1"),
             ("factors: 1", "factors must be at least 2"),
             ("sample_sizes: 300 18", "must exceed p=18"),
+            ("salient_sizes: nan", "give one or more values in [-1, 1]"),
+            ("phi_values: nan", "give one or more values in [-1, 1]"),
+            ("master_seed: -1", "master_seed must be nonnegative"),
+            ("salient_sizes: 0.6 0.6", "values equal to 0.001 share samples"),
         ],
     )
     def test_bad_design_is_input_error_before_any_fit(

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bufcfa.constraints import (
 )
 from bufcfa import estimation
 from bufcfa.errors import NumericalError, StructureError
-from bufcfa.estimation import FitOptions, SampleMoments, fit, ml_discrepancy, ml_gradient
+from bufcfa.estimation import SampleMoments, fit, ml_discrepancy, ml_gradient
 from bufcfa.model import (
     CellRole,
     FactorModel,
@@ -24,7 +25,8 @@ from bufcfa.model import (
     pack,
     unpack,
 )
-from bufcfa.simulation import balanced_population, block_pattern
+from bufcfa.io import read_correlation_matrix
+from bufcfa.simulation import balanced_population, block_pattern, draw_sample
 from nullspace_oracle import elimination_optimum
 
 
@@ -35,10 +37,8 @@ def swapped_setup(population_moments, icm_pattern, free_pattern):
     icm_solution = fit(FactorModel.free_phi(icm_pattern), None, population_moments)
     weights = [icm_solution.lambda_hat[i, icm_pattern.salient_factor(i)] for i in range(18)]
     cset = swap_members(build_fixed_weight_constraints(free_pattern, weights), [(4, 5), (4, 9)])
-    opts = FitOptions().with_starts(
-        icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
-    )
-    return FactorModel.fixed_phi(free_pattern, 0.304), cset, opts
+    start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+    return FactorModel.fixed_phi(free_pattern, 0.304), cset, start
 
 
 def reversed_members(cset):
@@ -222,14 +222,13 @@ class TestFit:
         assert solution.converged
         assert solution.f_min < 1e-8
         assert np.max(np.abs(solution.lambda_hat - population.lam)) < 1e-3
-        assert solution.max_constraint_residual < FitOptions().feasibility_tol
+        assert solution.max_constraint_residual < estimation.FEASIBILITY_TOL
 
     def test_determinism(self, population_moments, free_pattern):
         model = FactorModel.free_phi(free_pattern)
         cset = build_one_step_constraints(free_pattern)
-        opts = FitOptions()
-        a = fit(model, cset, population_moments, opts)
-        b = fit(model, cset, population_moments, opts)
+        a = fit(model, cset, population_moments)
+        b = fit(model, cset, population_moments)
         assert np.array_equal(a.lambda_hat, b.lambda_hat)
         assert np.array_equal(a.psi_hat, b.psi_hat)
         assert a.f_min == b.f_min
@@ -281,24 +280,41 @@ class TestFit:
         phi0[1, :] *= -1
         phi0[:, 1] *= -1
         np.fill_diagonal(phi0, 1.0)
-        opts = FitOptions(start_lambda=start, start_phi=phi0, start_psi=np.asarray(population.psi))
-        solution = fit(model, cset, SampleMoments(population.sigma), opts)
+        solution = fit(model, cset, SampleMoments(population.sigma), (start, phi0, population.psi))
         for j in range(3):
             first = min(free_pattern.blocks[j])
             assert solution.lambda_hat[first, j] >= 0
 
-    def test_bad_options_rejected(self):
-        with pytest.raises(StructureError):
-            FitOptions(gradient_tol=0.0)
-        with pytest.raises(StructureError):
-            FitOptions(feasibility_tol=-1.0)
-
-    def test_iteration_cap_bounds_whole_fit(self, population_moments, swapped_setup):
-        model, cset, opts = swapped_setup
-        capped = fit(model, cset, population_moments, dataclasses.replace(opts, max_inner_iterations=5))
+    def test_iteration_cap_bounds_whole_fit(self, population_moments, swapped_setup, monkeypatch):
+        model, cset, start = swapped_setup
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 5)
+        capped = fit(model, cset, population_moments, start)
         assert capped.n_iterations <= 5
         assert not capped.converged
         assert capped.max_constraint_residual <= 1e-12
+
+    def test_overflowing_trial_step_is_silent(self, data_dir, icm_pattern, monkeypatch):
+        # From this far-off start a trial step sends exp(log psi) past the
+        # float range; Sigma is then not PD, and the step simply fails.
+        S = read_correlation_matrix(data_dir / "population_corr.dat").S
+        _, moments = draw_sample(S, 60, np.random.SeedSequence([555, 26]))
+        overflowed = []
+        evaluate = estimation._discrepancy_and_gradient
+
+        def record(model, lam, phi, psi, S):
+            overflowed.append(bool(np.isinf(psi).any()))
+            return evaluate(model, lam, phi, psi, S)
+
+        monkeypatch.setattr(estimation, "_discrepancy_and_gradient", record)
+        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.05, 0.0)
+        start = lam, np.eye(3), np.full(18, 0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = fit(FactorModel.free_phi(icm_pattern), None, moments, start)
+        assert any(overflowed)
+        assert solution.converged
+        assert solution.n_iterations == 129
+        assert solution.f_min == pytest.approx(2.919804337600631, abs=1e-12)
 
     @pytest.mark.parametrize("case", ["one-step population", "criterion-4 swapped"])
     def test_member_order_changes_pivot_not_result(
@@ -306,9 +322,9 @@ class TestFit:
     ):
         if case == "one-step population":
             model = FactorModel.free_phi(free_pattern)
-            cset, opts = build_one_step_constraints(free_pattern), FitOptions()
+            cset, start = build_one_step_constraints(free_pattern), None
         else:
-            model, cset, opts = swapped_setup
+            model, cset, start = swapped_setup
             # The ICM weights tie up to rounding noise, which would pick the
             # same largest-|weight| member in either order; an exact tie
             # makes the reversal move every pivot.
@@ -321,8 +337,8 @@ class TestFit:
             )
         flipped = reversed_members(cset)
         assert not np.any(choose_pivots(cset, model).params == choose_pivots(flipped, model).params)
-        a = fit(model, cset, population_moments, opts)
-        b = fit(model, flipped, population_moments, opts)
+        a = fit(model, cset, population_moments, start)
+        b = fit(model, flipped, population_moments, start)
         assert a.converged and b.converged
         assert a.f_min == pytest.approx(b.f_min, abs=1e-9)
         assert np.max(np.abs(a.lambda_hat - b.lambda_hat)) < 1e-6
@@ -355,15 +371,13 @@ class TestFit:
             [icm_solution.lambda_hat[i, icm_pattern.salient_factor(i)] for i in range(18)]
         )
         model = FactorModel.fixed_phi(free_pattern, icm_solution.phi_hat)
-        opts = FitOptions().with_starts(
-            icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
-        )
+        start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
         correct = fit(model, build_fixed_weight_constraints(free_pattern, weights),
-                      population_moments, opts)
+                      population_moments, start)
         swapped_set = swap_members(
             build_fixed_weight_constraints(free_pattern, weights), [(4, 5), (4, 9)]
         )
-        swapped = fit(model, swapped_set, population_moments, opts)
+        swapped = fit(model, swapped_set, population_moments, start)
         assert swapped.converged
         assert swapped.max_constraint_residual < 1e-7
         srmr_correct = srmr(
@@ -448,13 +462,12 @@ class TestExpectedInformation:
         captured = {}
         solve = estimation._quasi_newton
 
-        def capture(objective, information, z0, opts):
+        def capture(objective, information, z0):
             captured.update(objective=objective, information=information, z0=z0)
-            return solve(objective, information, z0, opts)
+            return solve(objective, information, z0)
 
         monkeypatch.setattr(estimation, "_quasi_newton", capture)
-        opts = FitOptions().with_starts(lam, phi, psi)
-        fit(model, cset, SampleMoments(S), opts)
+        fit(model, cset, SampleMoments(S), (lam, phi, psi))
         objective, z0 = captured["objective"], captured["z0"]
         assert z0.size == model.n_parameters - len(cset)
         assert np.max(np.abs(objective(z0)[1])) < 1e-12

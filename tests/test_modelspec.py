@@ -1,8 +1,15 @@
+import string
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bufcfa.errors import ParseError
+from bufcfa.errors import BufcfaError, ParseError
+from bufcfa.model import FactorModel
 from bufcfa.modelspec import format_model_spec, parse_grid_document, parse_model_spec
+from bufcfa.simulation import GridSpec
 
 ONE_STEP_TEXT = """\
 variables: x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 x16 x17 x18
@@ -64,6 +71,18 @@ class TestParsing:
         text = ONE_STEP_TEXT.replace("phi: free", "phi F1 F2: 1.2")
         with pytest.raises(ParseError, match=r"outside \(-1, 1\)"):
             parse_model_spec(text)
+
+    @pytest.mark.parametrize("value", ["1.5", "-1", "nan", "inf"])
+    def test_phi_shorthand_out_of_range(self, value):
+        text = ONE_STEP_TEXT.replace("phi: free", f"phi: {value}")
+        with pytest.raises(ParseError, match=r"line 5: fixed phi value .* outside \(-1, 1\)"):
+            parse_model_spec(text)
+
+    @pytest.mark.parametrize("key", ["mi_threshold", "weight_tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_bounds_must_be_finite(self, key, value):
+        with pytest.raises(ParseError, match=f"line 7: {key} must be a .*finite number"):
+            parse_model_spec(ONE_STEP_TEXT + f"{key}: {value}\n")
 
     def test_unknown_procedure(self):
         text = ONE_STEP_TEXT.replace("one-step", "two-step")
@@ -143,3 +162,58 @@ class TestGridDocument:
             "line 1: missing required key 'phi_values'",
             "line 1: missing required key 'sample_sizes'",
         ]
+
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+# Tokens for a mutated value: numbers of every kind, nan/inf, negatives and
+# junk text.  Integers stay small so that a mutated grid costs little to check.
+TOKENS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-1", "0", "-0.0", "1", "1.5", "1e308",
+                     "free", "F1", "x1", "x1=0.6", "#", ":", "=", "", "one-step", "search"]),
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(string.printable, max_size=6),
+)
+
+
+def mutated(text: str):
+    """``text`` with the values of up to three of its ``key: value`` lines replaced."""
+    lines = text.splitlines()
+    keyed = [i for i, line in enumerate(lines) if ":" in line and not line.startswith("#")]
+
+    def apply(edits):
+        out = list(lines)
+        for i, tokens in edits:
+            out[i] = out[i].partition(":")[0] + ": " + " ".join(tokens)
+        return "\n".join(out) + "\n"
+
+    edit = st.tuples(st.sampled_from(keyed), st.lists(TOKENS, max_size=4))
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+class TestGrammar:
+    """A mutated document parses into a usable object or raises BufcfaError."""
+
+    @given(mutated((DATA_DIR / "one_step.model").read_text()))
+    @settings(max_examples=150, deadline=None)
+    def test_model_document(self, text):
+        try:
+            doc = parse_model_spec(text)
+            pattern = doc.pattern("zero")
+            phi = doc.phi_value()
+            if isinstance(phi, str):
+                model = FactorModel.free_phi(pattern)
+            else:
+                model = FactorModel.fixed_phi(pattern, phi)
+        except BufcfaError:
+            return
+        assert model.problems == ()  # fit accepts what the parser accepted
+
+    @given(mutated((DATA_DIR / "accuracy_grid.grid").read_text()))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_document(self, text):
+        try:
+            GridSpec(**parse_grid_document(text))
+        except BufcfaError:
+            pass

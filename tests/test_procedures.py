@@ -5,7 +5,7 @@ import pytest
 
 import bufcfa.procedures as procedures
 from bufcfa.errors import StructureError
-from bufcfa.estimation import FitOptions, SampleMoments
+from bufcfa.estimation import SampleMoments
 from bufcfa.model import CellRole, LoadingPattern
 from bufcfa.procedures import icm, multi_step, one_step, specification_search
 from bufcfa.simulation import balanced_population, block_pattern
@@ -121,6 +121,16 @@ class TestMultiStep:
         with pytest.raises(StructureError):
             multi_step(icm_pattern, population_moments, initial_weights=np.full(18, 0.6))
 
+    def test_improper_icm_correlation_ends_unconverged(self, improper_icm_corr):
+        # No fixed-phi model holds a correlation of 1.333: the trace stops
+        # after the initial fit instead of raising StructureError.
+        trace = multi_step(block_pattern(3, 4), SampleMoments(improper_icm_corr, n=300))
+        assert not trace.converged
+        assert [step.label for step in trace.steps] == ["icm"]
+        icm_solution = trace.steps[0].solution
+        assert icm_solution.converged
+        assert icm_solution.phi_hat[0, 1] == pytest.approx(4 / 3, abs=1e-4)
+
     def test_max_rounds_validated(self, population_moments, icm_pattern):
         with pytest.raises(StructureError):
             multi_step(icm_pattern, population_moments, max_rounds=1)
@@ -195,44 +205,49 @@ class TestSpecificationSearch:
         )
         assert np.array_equal(trace.pattern.cells, icm_pattern.cells)
 
+    def test_negative_budget_rejected_before_any_fit(self, population, icm_pattern, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(procedures, "fit", no_fit)
+        with pytest.raises(StructureError, match="max_freed_per_factor"):
+            specification_search(
+                icm_pattern, SampleMoments(population.sigma, n=500), max_freed_per_factor=-1
+            )
+
     def test_requires_sample_size(self, population_moments, icm_pattern):
         with pytest.raises(StructureError, match="sample size"):
             specification_search(icm_pattern, population_moments)
 
-    def test_refits_inherit_callers_options(self, population, icm_pattern, monkeypatch):
+    def test_refits_start_from_icm_solution(self, population, icm_pattern, monkeypatch):
         received = []
         real_fit = procedures.fit
 
-        def record(model, constraints, moments, opts):
-            received.append(opts)
-            return real_fit(model, constraints, moments, opts)
+        def record(model, constraints, moments, start=None):
+            received.append(start)
+            return real_fit(model, constraints, moments, start)
 
         monkeypatch.setattr(procedures, "fit", record)
-        caller = FitOptions(
-            max_inner_iterations=500, align_signs=False, feasibility_tol=1e-6, psi_start=0.4
-        )
         trace = specification_search(
-            icm_pattern, SampleMoments(population.sigma, n=500), caller,
+            icm_pattern, SampleMoments(population.sigma, n=500),
             mi_threshold=REFIT_MI_THRESHOLD,
         )
         icm_solution = trace.steps[0].solution
+        assert received[0] is None
         refits = received[1:1 + len(trace.mi_table)]
         assert len(refits) == 36
-        for opts in refits:
-            assert opts.max_inner_iterations == 500
-            assert opts.align_signs is False
-            assert opts.feasibility_tol == 1e-6
-            assert opts.psi_start == 0.4
-            assert opts.start_lambda is icm_solution.lambda_hat
-            assert opts.start_psi is icm_solution.psi_hat
-        assert received[-1].max_inner_iterations == 500
+        for lam, phi, psi in refits:
+            assert lam is icm_solution.lambda_hat
+            assert phi is icm_solution.phi_hat
+            assert psi is icm_solution.psi_hat
+        assert received[-1][0] is icm_solution.lambda_hat
 
     def test_refit_nonconvergence_is_not_silent(self, population, icm_pattern, monkeypatch):
         calls = []
         real_fit = procedures.fit
 
-        def third_refit_fails(model, constraints, moments, opts):
-            solution = real_fit(model, constraints, moments, opts)
+        def third_refit_fails(model, constraints, moments, start=None):
+            solution = real_fit(model, constraints, moments, start)
             calls.append(model)
             if len(calls) == 4:
                 return dataclasses.replace(solution, converged=False)

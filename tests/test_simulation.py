@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bufcfa.errors import InvalidPopulationError, StructureError
-from bufcfa.estimation import FitOptions
 from bufcfa.simulation import (
     GridSpec,
     align_to_population,
@@ -160,6 +159,14 @@ class TestGrid:
             ({"factors": 1}, "factors"),
             ({"sample_sizes": (18,)}, "exceed p=18"),
             ({"sample_sizes": (300, 12), "factors": 2}, "exceed p=12"),
+            ({"salient_sizes": (float("nan"),)}, "salient_sizes"),
+            ({"nonsalient_sizes": (0.0, float("inf"))}, "nonsalient_sizes"),
+            ({"phi_values": (1e308,)}, "phi_values"),
+            ({"phi_values": ()}, "phi_values"),
+            ({"master_seed": -1}, "master_seed"),
+            ({"salient_sizes": (0.6, 0.6)}, "salient_sizes"),
+            ({"sample_sizes": (300, 900, 300)}, "sample_sizes"),
+            ({"sample_sizes": ()}, "sample_sizes"),
         ],
     )
     def test_degenerate_design_rejected(self, kwargs, message):
@@ -188,15 +195,14 @@ class TestGrid:
 
     def test_deterministic_replay(self):
         grid = GridSpec((0.6,), (0.0, 0.2), (0.0,), (300,), replications=3, master_seed=11)
-        opts = FitOptions()
-        s1, r1 = run_grid(grid, opts)
-        s2, r2 = run_grid(grid, opts)
+        s1, r1 = run_grid(grid)
+        s2, r2 = run_grid(grid)
         assert [dataclasses.asdict(a) for a in s1] == [dataclasses.asdict(b) for b in s2]
         assert [dataclasses.asdict(a) for a in r1] == [dataclasses.asdict(b) for b in r2]
 
     def test_records_and_convergence_accounting(self):
         grid = GridSpec((0.6,), (0.1,), (0.3,), (300,), replications=3, master_seed=5)
-        summaries, records = run_grid(grid, FitOptions())
+        summaries, records = run_grid(grid)
         assert len(records) == 3
         s = summaries[0]
         assert s.replications == 3
@@ -212,9 +218,9 @@ class TestGrid:
         from bufcfa.simulation import run_cell, summarize_cell
 
         grid = GridSpec((0.6,), (0.0, 0.2), (0.0,), (300,), replications=3, master_seed=11)
-        summaries, _ = run_grid(grid, FitOptions())
+        summaries, _ = run_grid(grid)
         reversed_summaries = [
-            summarize_cell(run_cell(grid, cell, FitOptions()))
+            summarize_cell(run_cell(grid, cell))
             for cell in reversed(grid.cells)
         ]
         assert [dataclasses.asdict(s) for s in summaries] == [
