@@ -9,7 +9,8 @@ A model is immutable, so its invariants are checked once, at construction,
 and it compiles its layout once, on first use: the loading cells and
 correlation pairs of the packed vector as read-only index arrays.  Packing,
 unpacking and the gradient scatter are then single fancy-indexing
-operations over those arrays.
+operations over those arrays.  A :class:`StackedLayout` stacks the arrays
+of same-sized models, so that a stack of them unpacks in one operation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,6 +242,11 @@ class FactorModel:
         """Free loadings + free correlations + p uniquenesses."""
         return self.psi_offset + self.p
 
+    @cached_property
+    def layout(self) -> "StackedLayout":
+        """The packed layout as a stack of one model."""
+        return StackedLayout(*(_readonly(a) for a in StackedLayout.of([self])))
+
 
 def validate_model(model: FactorModel) -> list[str]:
     """Check all model invariants; returns the violation list (empty = ok)."""
@@ -324,13 +330,49 @@ def unpack(model: FactorModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise StructureError(
             f"parameter vector length {theta.shape} != {model.n_parameters}"
         )
-    lam = np.zeros((model.p, model.q))
-    lam[model.loading_cells] = theta[: model.n_free_loadings]
-    phi = model.phi_base.copy()
-    rows, cols = model.phi_pairs
-    phi[rows, cols] = phi[cols, rows] = theta[model.n_free_loadings : model.psi_offset]
-    psi = theta[model.psi_offset :].copy()
-    return lam, phi, psi
+    lam, phi, psi = model.layout.unpack(theta[None])
+    return lam[0], phi[0], psi[0]
+
+
+class StackedLayout(NamedTuple):
+    """The packed layouts of a stack of same-sized models, one row per model.
+
+    Each model's free loading cells and free correlation pairs (as
+    :attr:`FactorModel.loading_cells` and :attr:`FactorModel.phi_pairs`),
+    its correlation matrix with the free entries at zero, and its
+    uniqueness floor, as a column.
+    """
+
+    loading_rows: np.ndarray
+    loading_cols: np.ndarray
+    phi_rows: np.ndarray
+    phi_cols: np.ndarray
+    phi_base: np.ndarray
+    psi_floor: np.ndarray
+
+    @classmethod
+    def of(cls, models: Sequence[FactorModel]) -> "StackedLayout":
+        parts = [(*m.loading_cells, *m.phi_pairs, m.phi_base, [m.psi_floor]) for m in models]
+        return cls(*(np.stack(column) for column in zip(*parts)))
+
+    def take(self, rows) -> "StackedLayout":
+        """The layout of the given rows."""
+        return StackedLayout(*(a[rows] for a in self))
+
+    def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacks of lambda, phi and psi from packed rows, as :func:`unpack` row by row."""
+        k, n_loadings = self.loading_rows.shape
+        psi_offset = n_loadings + self.phi_rows.shape[1]
+        q = self.phi_base.shape[1]
+        stack = np.arange(k)[:, None]
+        lam = np.zeros((k, theta.shape[1] - psi_offset, q))
+        lam[stack, self.loading_rows, self.loading_cols] = theta[:, :n_loadings]
+        phi = self.phi_base.copy()
+        phi[stack, self.phi_rows, self.phi_cols] = phi[stack, self.phi_cols, self.phi_rows] = (
+            theta[:, n_loadings:psi_offset]
+        )
+        psi = theta[:, psi_offset:].copy()
+        return lam, phi, psi
 
 
 @dataclass(frozen=True)

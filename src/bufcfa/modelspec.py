@@ -192,6 +192,9 @@ def parse_model_spec(text: str) -> ModelSpecDocument:
                 if num is None:
                     err(lineno, f"malformed weight for {name!r}: {num_text!r}")
                     continue
+                if not np.isfinite(num):
+                    err(lineno, f"weight for {name!r} must be a finite number, got {num_text!r}")
+                    continue
                 weights[name] = num
         else:
             err(lineno, f"unknown key {key!r}")

@@ -18,7 +18,7 @@ from .constraints import (
     buffered_quality_index,
 )
 from .errors import StructureError
-from .estimation import SampleMoments, fit
+from .estimation import SampleMoments, fit, fit_each
 from .fit_indices import FitReport, build_report
 from .model import CellRole, FactorModel, LoadingPattern, Solution
 
@@ -175,8 +175,8 @@ def specification_search(
     """Independent-clusters fit plus modification-index-guided freeing.
 
     The index of each fixed-zero cell is the exact chi-square drop from
-    refitting with that single cell freed; each refit starts from the
-    independent-clusters estimates.
+    refitting with that single cell freed; the refits start from the
+    independent-clusters estimates and run together (``fit_each``).
     Per factor, at most ``max_freed_per_factor`` cells with index above
     ``mi_threshold`` are freed (largest first; ties break by factor then
     variable order), and the final model refits them simultaneously.  The
@@ -204,14 +204,16 @@ def specification_search(
     ]
     icm_start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     scale = moments.n - 1
-    mi_table = []
-    refits_converged = True
-    for (i, j) in zero_cells:
-        freed_model = _phi_spec_model(pattern.with_cells_freed([(i, j)]), phi_spec)
-        freed_solution = fit(freed_model, None, moments, icm_start)
-        refits_converged = refits_converged and freed_solution.converged
-        drop = scale * max(icm_solution.f_min - freed_solution.f_min, 0.0)
-        mi_table.append((i, j, float(drop)))
+    refits = fit_each(
+        [_phi_spec_model(pattern.with_cells_freed([cell]), phi_spec) for cell in zero_cells],
+        moments,
+        icm_start,
+    )
+    refits_converged = all(refit.converged for refit in refits)
+    mi_table = [
+        (i, j, float(scale * max(icm_solution.f_min - refit.f_min, 0.0)))
+        for (i, j), refit in zip(zero_cells, refits)
+    ]
 
     chosen: list[tuple[int, int]] = []
     for j in range(pattern.q):

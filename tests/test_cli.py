@@ -13,6 +13,8 @@ sample_sizes: 300
 factors: 3
 per_factor: 6
 """
+# A weights line as in data/fixed_weights.model, with x1's weight left open.
+FIXED_WEIGHTS = "weights: x1={} " + " ".join(f"x{i}=0.6" for i in range(2, 19))
 
 
 class TestFitCommand:
@@ -153,6 +155,10 @@ class TestFitCommand:
              "line 8: weight_tolerance must be a positive finite"),
             ("procedure: one-step", "procedure: search\nmax_freed_per_factor: -1",
              "max_freed_per_factor must be nonnegative"),
+            ("procedure: one-step", "procedure: multi-step\n" + FIXED_WEIGHTS.format("inf"),
+             "line 9: weight for 'x1' must be a finite number, got 'inf'"),
+            ("procedure: one-step", "procedure: multi-step\n" + FIXED_WEIGHTS.format("nan"),
+             "line 9: weight for 'x1' must be a finite number, got 'nan'"),
         ],
     )
     def test_misread_document_values_are_input_errors(
@@ -216,17 +222,14 @@ class TestSearchCommand:
 
         import bufcfa.procedures as procedures
 
-        calls = []
-        real_fit = procedures.fit
+        real_fit_each = procedures.fit_each
 
-        def second_refit_fails(model, constraints, moments, start=None):
-            solution = real_fit(model, constraints, moments, start)
-            calls.append(model)
-            if len(calls) == 3:
-                return dataclasses.replace(solution, converged=False)
-            return solution
+        def second_refit_fails(models, moments, start=None):
+            solutions = real_fit_each(models, moments, start)
+            solutions[1] = dataclasses.replace(solutions[1], converged=False)
+            return solutions
 
-        monkeypatch.setattr(procedures, "fit", second_refit_fails)
+        monkeypatch.setattr(procedures, "fit_each", second_refit_fails)
         code = cli.main([
             "search",
             "--model", str(data_dir / "one_step.model"),

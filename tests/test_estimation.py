@@ -16,11 +16,12 @@ from bufcfa.constraints import (
 )
 from bufcfa import estimation
 from bufcfa.errors import NumericalError, StructureError
-from bufcfa.estimation import SampleMoments, fit, ml_discrepancy, ml_gradient
+from bufcfa.estimation import SampleMoments, fit, fit_each, ml_discrepancy, ml_gradient
 from bufcfa.model import (
     CellRole,
     FactorModel,
     LoadingPattern,
+    StackedLayout,
     implied_covariance,
     pack,
     unpack,
@@ -185,6 +186,17 @@ class TestSampleMoments:
     def test_rejects_tiny_n(self):
         with pytest.raises(StructureError):
             SampleMoments(np.eye(2), n=1)
+
+    def test_keeps_log_determinant(self, population):
+        moments = SampleMoments(population.sigma)
+        factor = np.linalg.cholesky(moments.S)
+        assert moments.log_det == 2.0 * np.sum(np.log(np.diag(factor)))
+
+    def test_fit_minimum_equals_public_discrepancy(self, population_moments, icm_pattern):
+        # fit reuses ln|S| from the moments; ml_discrepancy factors S itself.
+        solution = fit(FactorModel.free_phi(icm_pattern), None, population_moments)
+        sigma = implied_covariance(solution.lambda_hat, solution.phi_hat, solution.psi_hat)
+        assert solution.f_min == ml_discrepancy(population_moments.S, sigma)
 
 
 class TestFit:
@@ -609,3 +621,127 @@ class TestMinimize:
             objective, np.zeros(6), hess_inv0=-np.eye(6), gtol=1e-7, maxiter=50
         )
         assert (uphill.nit, uphill.nfev) == (0, 1)
+
+
+def single_cell_refits(pattern, phi_spec):
+    """Every model with one of the pattern's zero cells freed."""
+    make = FactorModel.free_phi if phi_spec == "free" else (
+        lambda p: FactorModel.fixed_phi(p, phi_spec)
+    )
+    zero_cells = zip(*np.nonzero(pattern.cells == CellRole.FIXED_ZERO))
+    return make(pattern), [make(pattern.with_cells_freed([cell])) for cell in zero_cells]
+
+
+def moved_membership_models(pattern):
+    """Free-phi ICM models with one variable moved to another factor."""
+    models = []
+    for v, f in zip(*np.nonzero(pattern.cells == CellRole.FIXED_ZERO)):
+        if v % 6 == 0:
+            cells = np.array(pattern.cells)
+            cells[v] = CellRole.FIXED_ZERO
+            cells[v, f] = CellRole.SALIENT_FREE
+            models.append(FactorModel.free_phi(LoadingPattern(cells)))
+    return models
+
+
+def assert_equal_to_serial_fits(solutions, models, moments, start):
+    assert len(solutions) == len(models)
+    for solution, model in zip(solutions, models):
+        serial = fit(model, None, moments, start)
+        assert solution.f_min == serial.f_min
+        assert np.array_equal(solution.lambda_hat, serial.lambda_hat)
+        assert np.array_equal(solution.phi_hat, serial.phi_hat)
+        assert np.array_equal(solution.psi_hat, serial.psi_hat)
+        assert solution.n_iterations == serial.n_iterations
+        assert solution.converged == serial.converged
+
+
+class TestFitEach:
+    @pytest.mark.parametrize("phi_spec", ["free", 0.3])
+    def test_refits_equal_serial_fits(self, population, icm_pattern, phi_spec):
+        moments = SampleMoments(population.sigma, n=500)
+        icm_model, refits = single_cell_refits(icm_pattern, phi_spec)
+        icm_solution = fit(icm_model, None, moments)
+        start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+        assert len(refits) == 36
+        assert_equal_to_serial_fits(fit_each(refits, moments, start), refits, moments, start)
+
+    @pytest.mark.parametrize("case", ["far-off start", "stalled row"])
+    def test_rows_finish_in_different_rounds(self, case, data_dir, icm_pattern, monkeypatch):
+        if case == "far-off start":
+            # The start of test_overflowing_trial_step_is_silent: the ICM
+            # row's trial steps overflow psi and land on the non-PD path.
+            S = read_correlation_matrix(data_dir / "population_corr.dat").S
+            _, moments = draw_sample(S, 60, np.random.SeedSequence([555, 26]))
+            lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.05, 0.0)
+            start = lam, np.eye(3), np.full(18, 0.95)
+            models = [FactorModel.free_phi(icm_pattern)] + moved_membership_models(icm_pattern)
+        else:
+            # Refit 1 of this sample stalls at F's rounding floor after 9
+            # BFGS iterations; one scoring step finishes it.
+            _, moments = draw_sample(balanced_population(3, 6, 0.6, 0.2, 0.3).sigma, 300, 110)
+            icm_model, models = single_cell_refits(icm_pattern, 0.3)
+            icm_solution = fit(icm_model, None, moments)
+            start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+        rounds, overflowed, finishes = [], [], []
+        evaluate, score = estimation._discrepancy_and_gradient, estimation._score
+
+        def record(layout, lam, phi, psi, S):
+            rounds.append(len(lam))
+            overflowed.append(bool(np.isinf(psi).any()))
+            return evaluate(layout, lam, phi, psi, S)
+
+        def record_score(objective, information, result):
+            finished = score(objective, information, result)
+            finishes.append((result, finished))
+            return finished
+
+        monkeypatch.setattr(estimation, "_discrepancy_and_gradient", record)
+        monkeypatch.setattr(estimation, "_score", record_score)
+        solutions = fit_each(models, moments, start)
+        monkeypatch.undo()
+        stacked = [size for size in rounds if size > 1]
+        assert stacked[0] == len(models) and len(set(stacked)) > 2
+        assert [result.nfev for result, _ in finishes] != [finishes[0][0].nfev] * len(models)
+        if case == "far-off start":
+            assert any(overflowed)
+            assert solutions[0].n_iterations == 129
+        else:
+            result, (_, grad_norm, nit) = finishes[1]
+            assert np.max(np.abs(result.jac)) >= estimation.GRADIENT_TOL
+            assert grad_norm < estimation.GRADIENT_TOL and nit > result.nit
+        assert all(solution.converged for solution in solutions)
+        assert_equal_to_serial_fits(solutions, models, moments, start)
+
+    def test_no_models(self, population_moments):
+        assert fit_each([], population_moments) == []
+
+    def test_models_of_different_sizes_rejected(self, population_moments, icm_pattern):
+        models = [
+            FactorModel.free_phi(icm_pattern),
+            FactorModel.free_phi(icm_pattern.with_cells_freed([(0, 1)])),
+        ]
+        with pytest.raises(StructureError, match="one size"):
+            fit_each(models, population_moments)
+
+    def test_stacked_kernels_equal_stacks_of_one(self, icm_pattern):
+        # One slice of the stack is not positive definite: it alone reads NaN.
+        _, models = single_cell_refits(icm_pattern, "free")
+        rng = np.random.default_rng(8)
+        lam = np.stack([random_loadings(m.pattern, rng) for m in models[:5]])
+        phi = np.stack([np.eye(3)] * 5)
+        psi = rng.uniform(0.3, 0.6, size=(5, 18))
+        phi[2] = np.full((3, 3), 1.5) - 0.5 * np.eye(3)
+        S = implied_covariance(lam[0], phi[0], psi[0])
+        layout = StackedLayout.of(models[:5])
+        f, grad = estimation._discrepancy_and_gradient(layout, lam, phi, psi, S)
+        info = estimation._expected_information(layout, lam, phi, psi)
+        assert np.isnan(f).tolist() == [False, False, True, False, False]
+        assert np.isnan(info[2]).all() and not np.isnan(info[[0, 1, 3, 4]]).any()
+        for r, model in enumerate(models[:5]):
+            one = lam[r : r + 1], phi[r : r + 1], psi[r : r + 1]
+            f_r, grad_r = estimation._discrepancy_and_gradient(model.layout, *one, S)
+            np.testing.assert_array_equal(f[r : r + 1], f_r)
+            np.testing.assert_array_equal(grad[r : r + 1], grad_r)
+            info_r = estimation._expected_information(model.layout, *one)
+            np.testing.assert_array_equal(info[r : r + 1], info_r)

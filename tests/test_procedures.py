@@ -222,12 +222,18 @@ class TestSpecificationSearch:
     def test_refits_start_from_icm_solution(self, population, icm_pattern, monkeypatch):
         received = []
         real_fit = procedures.fit
+        real_fit_each = procedures.fit_each
 
         def record(model, constraints, moments, start=None):
             received.append(start)
             return real_fit(model, constraints, moments, start)
 
+        def record_each(models, moments, start=None):
+            received.extend(start for _ in models)
+            return real_fit_each(models, moments, start)
+
         monkeypatch.setattr(procedures, "fit", record)
+        monkeypatch.setattr(procedures, "fit_each", record_each)
         trace = specification_search(
             icm_pattern, SampleMoments(population.sigma, n=500),
             mi_threshold=REFIT_MI_THRESHOLD,
@@ -243,17 +249,14 @@ class TestSpecificationSearch:
         assert received[-1][0] is icm_solution.lambda_hat
 
     def test_refit_nonconvergence_is_not_silent(self, population, icm_pattern, monkeypatch):
-        calls = []
-        real_fit = procedures.fit
+        real_fit_each = procedures.fit_each
 
-        def third_refit_fails(model, constraints, moments, start=None):
-            solution = real_fit(model, constraints, moments, start)
-            calls.append(model)
-            if len(calls) == 4:
-                return dataclasses.replace(solution, converged=False)
-            return solution
+        def third_refit_fails(models, moments, start=None):
+            solutions = real_fit_each(models, moments, start)
+            solutions[2] = dataclasses.replace(solutions[2], converged=False)
+            return solutions
 
-        monkeypatch.setattr(procedures, "fit", third_refit_fails)
+        monkeypatch.setattr(procedures, "fit_each", third_refit_fails)
         trace = specification_search(
             icm_pattern, SampleMoments(population.sigma, n=500),
             mi_threshold=REFIT_MI_THRESHOLD,
