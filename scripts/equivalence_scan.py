@@ -1,6 +1,6 @@
 """Print a fingerprint of every procedure's result over a fixed set of samples.
 
-    PYTHONPATH=src python3 scripts/equivalence_scan.py [--samples 100] > scan.txt
+    PYTHONPATH=src python3 scripts/equivalence_scan.py > scan.txt
 
 Each sample is an n = 300 draw from the population of
 ``data/population_corr.dat`` (``draw_sample`` with ``SeedSequence([777, s])``).
@@ -17,7 +17,6 @@ exactly when the outputs are identical: point PYTHONPATH at each version's
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from bufcfa import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SAMPLES = 100
 
 PROCEDURES = {
     "icm": lambda pattern, moments: icm(pattern, "free", moments),
@@ -57,12 +57,9 @@ def fingerprint(trace) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--samples", type=int, default=100)
-    args = parser.parse_args()
     population = read_correlation_matrix(DATA / "population_corr.dat").S
     pattern = block_pattern(3, 6, "zero")
-    for s in range(args.samples):
+    for s in range(SAMPLES):
         _, moments = draw_sample(population, 300, np.random.SeedSequence([777, s]))
         for name, run in PROCEDURES.items():
             trace = run(pattern, moments)

@@ -10,11 +10,11 @@ matrix of F) in the solver's coordinates, or from the identity where that
 is not positive definite.  It tries the full step, then halves it; if no
 step length decreases F enough, scoring steps finish the fit.
 
-F, its gradient and the information are computed for a stack of parameter
-points, one model per slice, in one call: :func:`fit` evaluates a stack of
-one.  :func:`fit_each` runs unconstrained fits of same-sized models
-together.  Each model keeps its own BFGS (the :func:`_bfgs` generator),
-and every round evaluates all pending trial points as one stack.  A slice
+F and its gradient are computed for a stack of parameter points, one
+model per slice, in one call: :func:`fit` evaluates a stack of one.
+:func:`fit_each` runs unconstrained fits of same-sized models together.
+Each model keeps its own BFGS (the :func:`_bfgs` generator), and every
+round evaluates all pending trial points as one stack.  A slice
 goes through the same operations as a stack of one, so those fits are
 bit-identical to serial :func:`fit` calls.
 
@@ -176,23 +176,17 @@ def _fit_function(sigma: np.ndarray, S: np.ndarray, log_det_S: float) -> float:
     return f
 
 
-def _implied(lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda Phi and Sigma at each point of a stack."""
-    lam_phi = lam @ phi
-    common = lam_phi @ lam.transpose(0, 2, 1)
-    sigma = (common + common.transpose(0, 2, 1)) / 2.0
-    diag = np.arange(psi.shape[1])
-    sigma[:, diag, diag] += psi
-    return lam_phi, sigma
-
-
 def _discrepancy_and_gradient(layout: StackedLayout, lam, phi, psi, S):
     """F without its ln|S| term, and the packed gradient, at a stack of points.
 
     Slice ``r`` of ``lam``, ``phi`` and ``psi`` is a point of the model in
     row ``r`` of ``layout``.  F is NaN where Sigma is not positive definite.
     """
-    lam_phi, sigma = _implied(lam, phi, psi)
+    lam_phi = lam @ phi
+    common = lam_phi @ lam.transpose(0, 2, 1)
+    sigma = (common + common.transpose(0, 2, 1)) / 2.0
+    diag = np.arange(psi.shape[1])
+    sigma[:, diag, diag] += psi
     f, sig_inv, sig_inv_S = _discrepancy(sigma, S)
     # W = Sigma^-1 (Sigma - S) Sigma^-1, symmetric
     W = sig_inv - sig_inv_S @ sig_inv
@@ -219,8 +213,8 @@ def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndar
     return grad[0]
 
 
-def _expected_information(layout, lam, phi, psi):
-    """Expected Hessian of F in packed parameters, at a stack of points.
+def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndarray]:
+    """Expected Hessian of F in packed parameters, None where Sigma is not PD.
 
     ``H[a, b] = tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b)``, the Fisher-scoring
     matrix, which equals the Hessian of F wherever S = Sigma.  Every
@@ -228,34 +222,27 @@ def _expected_information(layout, lam, phi, psi):
     for a loading, ``x = l_a, y = l_b`` for a correlation and
     ``x = e_i, y = e_i / 2`` for a uniqueness.  With ``P = Sigma^-1`` that
     makes ``H[a, b] = 2 (x_a'P x_b  y_a'P y_b + x_a'P y_b  y_a'P x_b)``.
-
-    Slices are as in :func:`_discrepancy_and_gradient`, and a slice is NaN
-    where Sigma is not positive definite.  A model in place of the layout,
-    with one point, gives one matrix, or None there.
     """
-    if isinstance(layout, FactorModel):
-        info = _expected_information(layout.layout, lam[None], phi[None], psi[None])[0]
-        return None if np.isnan(info).any() else info
-    lam_phi, sigma = _implied(lam, phi, psi)
-    sig_inv = _cholesky_inverse(sigma)[1]
-    (k, n_loadings), p = layout.loading_rows.shape, psi.shape[1]
-    psi_offset = n_loadings + layout.phi_rows.shape[1]
-    phis = slice(n_loadings, psi_offset)
-    stack = np.arange(k)[:, None]
-    x = np.zeros((k, p, psi_offset + p))
-    y = np.zeros((k, p, psi_offset + p))
-    x[stack, layout.loading_rows, np.arange(n_loadings)] = 1.0
-    # Gathering columns puts the stack's gathered axis first: (k, columns, p).
-    y[:, :, :n_loadings] = lam_phi[stack, :, layout.loading_cols].transpose(0, 2, 1)
-    x[:, :, phis] = lam[stack, :, layout.phi_rows].transpose(0, 2, 1)
-    y[:, :, phis] = lam[stack, :, layout.phi_cols].transpose(0, 2, 1)
-    psis = np.arange(psi_offset, psi_offset + p)
-    x[:, np.arange(p), psis] = 1.0
-    y[:, np.arange(p), psis] = 0.5
+    p = lam.shape[0]
+    log_det, sig_inv = _cholesky_inverse(implied_covariance(lam, phi, psi)[None])
+    if not math.isfinite(log_det[0]):
+        return None
+    sig_inv = sig_inv[0]
+    phis = slice(model.n_free_loadings, model.psi_offset)
+    psis = np.arange(model.psi_offset, model.n_parameters)
+    rows, cols = model.loading_cells
+    a, b = model.phi_pairs
+    x = np.zeros((p, model.n_parameters))
+    y = np.zeros((p, model.n_parameters))
+    x[rows, np.arange(rows.size)] = 1.0
+    y[:, :rows.size] = (lam @ phi)[:, cols]
+    x[:, phis] = lam[:, a]
+    y[:, phis] = lam[:, b]
+    x[np.arange(p), psis] = 1.0
+    y[np.arange(p), psis] = 0.5
     px, py = sig_inv @ x, sig_inv @ y
-    x_t, y_t = x.transpose(0, 2, 1), y.transpose(0, 2, 1)
-    x_px, y_py, x_py = x_t @ px, y_t @ py, x_t @ py
-    return 2.0 * (x_px * y_py + x_py * x_py.transpose(0, 2, 1))
+    x_px, y_py, x_py = x.T @ px, y.T @ py, x.T @ py
+    return 2.0 * (x_px * y_py + x_py * x_py.T)
 
 
 def _starting_point(model: FactorModel, start) -> np.ndarray:
@@ -379,13 +366,14 @@ class _Fits:
         parameters, psi - floor on log-psi, and on each pivot row
         -J[r, keep] / J[r, pivot].
         """
-        layout, theta, lam, phi, psi = self.points([row], z[None])
-        info = _expected_information(layout, lam, phi, psi)[0]
-        if np.isnan(info).any():
+        model = self.models[row]
+        _, theta, lam, phi, psi = self.points([row], z[None])
+        info = _expected_information(model, lam[0], phi[0], psi[0])
+        if info is None:
             return None
         theta, keep, log_psi = theta[0], self.keep, self.log_psi
         T = np.eye(theta.size)[:, keep]
-        T[log_psi] *= (theta[log_psi] - layout.psi_floor[0])[:, None]
+        T[log_psi] *= (theta[log_psi] - model.psi_floor)[:, None]
         if self.m:
             jac, params = self.jacobian(theta), self.pivots.params
             T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
@@ -441,9 +429,9 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
     start; a round evaluates all pending trial points in one stacked call
     (:func:`_lock_step`), and scoring steps finish each model that stalled,
     as in :func:`fit`.  The models must share p, q and their counts of free
-    loadings and correlations.  The start information is taken one model
-    at a time: stacked, it would hold three n x n products per model at
-    once, for about 2% of the time.
+    loadings and correlations.  The information is taken one model at a
+    time: stacked, it would hold three n x n products per model at once,
+    for about 2% of the time.
     """
     if not models:
         return []
