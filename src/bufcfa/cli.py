@@ -38,6 +38,8 @@ def _load_document(path) -> ModelSpecDocument:
 def _load_moments(data_path, n):
     path = Path(data_path)
     if path.suffix in (".raw", ".data") or _looks_raw(path):
+        if n is not None:
+            raise InputError(f"{path}: --n does not apply to raw data, whose n is its row count")
         return read_raw_data(path)
     return read_correlation_matrix(path, n=n)
 

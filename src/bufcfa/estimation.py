@@ -2,7 +2,7 @@
 
 The discrepancy is the standard ML fit function
 ``F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p``.  Constrained fits solve
-each balance constraint for one loading, so this module's BFGS (:func:`minimize`)
+each balance constraint for one loading, so this module's BFGS (:func:`_bfgs`)
 runs over the other parameters with every iterate feasible.  Uniquenesses
 stay above their floor through a log transform, never by clamping.  BFGS
 starts from the inverse of the expected information (the Fisher-scoring
@@ -11,12 +11,14 @@ is not positive definite.  It tries the full step, then halves it; if no
 step length decreases F enough, scoring steps finish the fit.
 
 F and its gradient are computed for a stack of parameter points, one
-model per slice, in one call: :func:`fit` evaluates a stack of one.
-:func:`fit_each` runs unconstrained fits of same-sized models together.
-Each model keeps its own BFGS (the :func:`_bfgs` generator), and every
-round evaluates all pending trial points as one stack.  A slice
-goes through the same operations as a stack of one, so those fits are
-bit-identical to serial :func:`fit` calls.
+model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
+same-sized models together: each model keeps its own BFGS (the
+:func:`_bfgs` generator), and one driver (:func:`_lock_step`) evaluates
+every round's pending trial points as one stack.  :func:`fit` is a
+lock-step of one, through :func:`minimize`, the one-row adapter.  Both end
+each row in :meth:`_Fits.finish`.  A slice goes through the same
+operations as a stack of one, so those fits are bit-identical to serial
+:func:`fit` calls.
 
 Every evaluation factors each Sigma once, with numpy's Cholesky and one
 p-wide triangular inversion (:func:`_cholesky_inverse`); the model's index
@@ -26,7 +28,6 @@ loops over parameters.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -44,6 +45,7 @@ from .constraints import (
 )
 from .errors import NumericalError, StructureError
 from .model import (
+    PSI_FLOOR,
     CellRole,
     FactorModel,
     Solution,
@@ -85,6 +87,8 @@ class SampleMoments:
         S = np.asarray(self.S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise StructureError(f"moment matrix must be square, got {S.shape}")
+        if not np.isfinite(S).all():
+            raise StructureError("moment matrix has non-finite entries")
         asym = np.max(np.abs(S - S.T)) if S.size else 0.0
         if asym > 1e-8:
             raise StructureError(f"moment matrix asymmetric beyond tolerance ({asym:.2e})")
@@ -251,7 +255,7 @@ def _starting_point(model: FactorModel, start) -> np.ndarray:
         salient = model.pattern.cells == CellRole.SALIENT_FREE
         start = np.where(salient, _COLD_START, 0.0), model.phi_base, np.full(model.p, _COLD_START)
     lam, phi, psi = start
-    return pack(model, lam, phi, np.maximum(psi, 2 * model.psi_floor))
+    return pack(model, lam, phi, np.maximum(psi, 2 * PSI_FLOOR))
 
 
 def _align_signs(model: FactorModel, lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +293,7 @@ class _Fits:
     the other parameters on the reduced gradient ``g - J' mu``, with
     multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points`` and
     ``objectives`` evaluate the listed rows at their solver points, one row
-    of ``Z`` each; ``objective`` and ``information`` evaluate one row.
+    of ``Z`` each; ``objective``, ``information`` and ``finish`` take one row.
     """
 
     def __init__(self, models: Sequence[FactorModel], constraints: Optional[ConstraintSet], moments):
@@ -325,7 +329,7 @@ class _Fits:
         """Every row's solver point at a ``(lambda, phi, psi)`` start, cold if None."""
         theta = np.stack([_starting_point(model, start) for model in self.models])
         log_psi = self.log_psi
-        theta[:, log_psi] = np.log(np.maximum(theta[:, log_psi] - self.layout.psi_floor, 1e-300))
+        theta[:, log_psi] = np.log(np.maximum(theta[:, log_psi] - PSI_FLOOR, 1e-300))
         return theta[:, self.keep]
 
     def points(self, rows, Z):
@@ -334,7 +338,7 @@ class _Fits:
         theta = np.zeros((len(rows), self.models[0].n_parameters))
         theta[:, self.keep] = Z
         with np.errstate(over="ignore"):  # a wild trial step lands on _INFEASIBLE_F
-            theta[:, self.log_psi] = layout.psi_floor + np.exp(theta[:, self.log_psi])
+            theta[:, self.log_psi] = PSI_FLOOR + np.exp(theta[:, self.log_psi])
         lam, phi, psi = layout.unpack(theta)
         if self.m:
             # The pivots arrive at zero, so each residual leaves its pivot out.
@@ -350,7 +354,7 @@ class _Fits:
         if self.m:
             jac, params = self.jacobian(theta[0]), self.pivots.params
             grad[0] -= jac.T @ (grad[0, params] / jac[np.arange(self.m), params])
-        grad[:, self.log_psi] *= theta[:, self.log_psi] - layout.psi_floor
+        grad[:, self.log_psi] *= theta[:, self.log_psi] - PSI_FLOOR
         return [
             (_INFEASIBLE_F, np.zeros_like(z)) if math.isnan(f_r) else (f_r, g[self.keep])
             for z, f_r, g in zip(Z, f.tolist(), grad)
@@ -373,13 +377,32 @@ class _Fits:
             return None
         theta, keep, log_psi = theta[0], self.keep, self.log_psi
         T = np.eye(theta.size)[:, keep]
-        T[log_psi] *= (theta[log_psi] - model.psi_floor)[:, None]
+        T[log_psi] *= (theta[log_psi] - PSI_FLOOR)[:, None]
         if self.m:
             jac, params = self.jacobian(theta), self.pivots.params
             T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
         return T.T @ info @ T
 
-    def solution(self, row, z, grad_norm, n_iterations) -> Solution:
+    def finish(self, row, result) -> Solution:
+        """Row ``row``'s solution from its BFGS result, after any scoring steps.
+
+        Near the optimum the rounding error of F can stall the line search a
+        hair above ``GRADIENT_TOL``.  Scoring steps ``z - information(z)^-1 g``
+        need no function values; each is taken only while it keeps Sigma
+        positive definite and halves the gradient norm.  BFGS iterations and
+        scoring steps share ``MAX_ITERATIONS``.
+        """
+        z, grad, nit = result.x, result.jac, result.nit
+        while np.max(np.abs(grad)) >= GRADIENT_TOL and nit < MAX_ITERATIONS:
+            inverse = _pd_inverse(self.information(z, row))
+            if inverse is None:
+                break
+            step = z - inverse @ grad
+            f, step_grad = self.objective(step, row)
+            if f >= _INFEASIBLE_F or not np.max(np.abs(step_grad)) < 0.5 * np.max(np.abs(grad)):
+                break
+            z, grad, nit = step, step_grad, nit + 1
+        grad_norm = float(np.max(np.abs(grad)))
         _, _, lam, phi, psi = self.points([row], z[None])
         model, moments = self.models[row], self.moments
         lam, phi = _align_signs(model, lam[0], phi[0])
@@ -391,10 +414,10 @@ class _Fits:
             phi_hat=phi,
             psi_hat=psi,
             f_min=f_min,
-            n_iterations=n_iterations,
+            n_iterations=nit,
             converged=bool(grad_norm < GRADIENT_TOL and np.all(np.abs(residuals) < FEASIBILITY_TOL)),
             constraint_residuals=residuals,
-            gradient_norm=float(grad_norm),
+            gradient_norm=grad_norm,
         )
 
 
@@ -417,8 +440,15 @@ def fit(
     non-convergence is never silent.
     """
     fits = _Fits([model], constraints, moments)
-    z, grad_norm, n_iterations = _quasi_newton(fits.objective, fits.information, fits.start(start)[0])
-    return fits.solution(0, z, grad_norm, n_iterations)
+    z0 = fits.start(start)[0]
+    result = minimize(
+        fits.objective,
+        z0,
+        hess_inv0=_pd_inverse(fits.information(z0)),
+        gtol=GRADIENT_TOL,
+        maxiter=MAX_ITERATIONS,
+    )
+    return fits.finish(0, result)
 
 
 def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) -> list[Solution]:
@@ -427,8 +457,8 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
     Each solution equals ``fit(model, None, moments, start)`` bit for bit.
     Every model runs its own BFGS (:func:`_bfgs`) from the information
     start; a round evaluates all pending trial points in one stacked call
-    (:func:`_lock_step`), and scoring steps finish each model that stalled,
-    as in :func:`fit`.  The models must share p, q and their counts of free
+    (:func:`_lock_step`), and :meth:`_Fits.finish` finishes each model as
+    in :func:`fit`.  The models must share p, q and their counts of free
     loadings and correlations.  The information is taken one model at a
     time: stacked, it would hold three n x n products per model at once,
     for about 2% of the time.
@@ -436,71 +466,20 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
     if not models:
         return []
     fits = _Fits(models, None, moments)
-    Z0 = fits.start(start)
     solvers = [
         _bfgs(z0, _pd_inverse(fits.information(z0, row)), GRADIENT_TOL, MAX_ITERATIONS)
-        for row, z0 in enumerate(Z0)
+        for row, z0 in enumerate(fits.start(start))
     ]
-    solutions = []
-    for row, result in enumerate(_lock_step(solvers, fits.objectives)):
-        objective = functools.partial(fits.objective, row=row)
-        information = functools.partial(fits.information, row=row)
-        solutions.append(fits.solution(row, *_score(objective, information, result)))
-    return solutions
-
-
-def _quasi_newton(objective, information, z0):
-    """One dense BFGS solve from the information start, then :func:`_score`.
-
-    BFGS starts from the inverse of ``information`` at ``z0``, or from the
-    identity where that is not positive definite.  Returns the final point
-    with its gradient norm and the iterations used.
-    """
-    res = minimize(
-        objective,
-        z0,
-        hess_inv0=_pd_inverse(information(z0)),
-        gtol=GRADIENT_TOL,
-        maxiter=MAX_ITERATIONS,
-    )
-    return _score(objective, information, res)
-
-
-def _score(objective, information, res):
-    """Fisher-scoring steps that finish a BFGS solve which stalled.
-
-    Near the optimum the rounding error of F can stall the line search a
-    hair above ``GRADIENT_TOL``.  Scoring steps ``z - information(z)^-1 g``
-    need no function values; each is taken only while it keeps Sigma
-    positive definite and halves the gradient norm.  BFGS iterations and
-    scoring steps share ``MAX_ITERATIONS``.  Returns the final point with
-    its gradient norm and the iterations used.
-    """
-    z, grad, nit = res.x, res.jac, res.nit
-    while np.max(np.abs(grad)) >= GRADIENT_TOL and nit < MAX_ITERATIONS:
-        inverse = _pd_inverse(information(z))
-        if inverse is None:
-            break
-        step = z - inverse @ grad
-        f, step_grad = objective(step)
-        if f >= _INFEASIBLE_F or not np.max(np.abs(step_grad)) < 0.5 * np.max(np.abs(grad)):
-            break
-        z, grad, nit = step, step_grad, nit + 1
-    return z, float(np.max(np.abs(grad))), nit
+    return [fits.finish(row, r) for row, r in enumerate(_lock_step(solvers, fits.objectives))]
 
 
 def minimize(objective, z0, *, hess_inv0, gtol, maxiter) -> OptimizeResult:
     """Dense BFGS (:func:`_bfgs`) on ``objective(z) -> (F, gradient)``, from ``z0``.
 
-    Returns ``x``, ``jac``, ``nit`` and ``nfev``.
+    A lock-step (:func:`_lock_step`) of one.  Returns ``x``, ``jac``, ``nit``
+    and ``nfev``.
     """
-    solver = _bfgs(z0, hess_inv0, gtol, maxiter)
-    trial = next(solver)
-    while True:
-        try:
-            trial = solver.send(objective(trial))
-        except StopIteration as done:
-            return done.value
+    return _lock_step([_bfgs(z0, hess_inv0, gtol, maxiter)], lambda rows, Z: [objective(Z[0])])[0]
 
 
 def _bfgs(z0, hess_inv0, gtol, maxiter):
@@ -556,7 +535,7 @@ def _lock_step(solvers: list, evaluate) -> list:
     pending = {row: next(solver) for row, solver in enumerate(solvers)}
     while pending:
         rows = list(pending)
-        values = evaluate(rows, np.stack([pending[row] for row in rows]))
+        values = evaluate(rows, np.array([pending[row] for row in rows]))
         for row, value in zip(rows, values):
             try:
                 pending[row] = solvers[row].send(value)

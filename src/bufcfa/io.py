@@ -63,6 +63,8 @@ def read_correlation_matrix(path, n: Optional[int] = None) -> SampleMoments:
             rows.append([float(x) for x in _split_cells(line)])
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric matrix entry in {line!r}") from None
+        if not np.isfinite(rows[-1]).all():
+            raise InputError(f"{path}:{lineno}: non-finite matrix entry in {line!r}")
     if not rows:
         raise InputError(f"{path}: no matrix rows found")
     p = len(rows)
@@ -109,9 +111,14 @@ def read_raw_data(path) -> SampleMoments:
             rows.append([float(x) for x in cells])
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric data entry") from None
+        if not np.isfinite(rows[-1]).all():
+            raise InputError(f"{path}:{lineno}: non-finite data entry")
     data = np.array(rows)
     if data.shape[0] <= data.shape[1]:
         raise InputError(f"{path}: need more observations than variables")
+    constant = [name for name, column in zip(names, data.T) if np.all(column == column[0])]
+    if constant:
+        raise InputError(f"{path}: variable(s) {', '.join(constant)} have zero variance")
     R = np.corrcoef(data, rowvar=False)
     R = (R + R.T) / 2.0
     try:

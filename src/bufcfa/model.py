@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidPopulationError, NumericalError, StructureError
 
-DEFAULT_PSI_FLOOR = 1e-3
+# Every uniqueness stays above this floor (see estimation's log transform).
+PSI_FLOOR = 1e-3
 
 
 class CellRole(Enum):
@@ -149,13 +150,13 @@ class FactorModel:
     ``phi_fixed`` is a q x q array with NaN marking freely estimated
     inter-factor correlations; the diagonal is always 1 (unit factor
     variances).  Uniquenesses are always free, bounded below by
-    ``psi_floor``.  ``problems`` holds every invariant violation
+    :data:`PSI_FLOOR`.  ``problems`` holds every invariant violation
     (:func:`validate_model`), found once, at construction.
     """
 
     pattern: LoadingPattern
     phi_fixed: np.ndarray  # q x q, NaN = free entry, diagonal 1.0
-    psi_floor: float = DEFAULT_PSI_FLOOR
+    psi_floor: ClassVar[float] = PSI_FLOOR
 
     def __post_init__(self):
         phi = np.asarray(self.phi_fixed, dtype=float)
@@ -168,19 +169,14 @@ class FactorModel:
         object.__setattr__(self, "problems", tuple(validate_model(self)))
 
     @classmethod
-    def free_phi(cls, pattern: LoadingPattern, psi_floor: float = DEFAULT_PSI_FLOOR):
+    def free_phi(cls, pattern: LoadingPattern):
         """Model with all inter-factor correlations freely estimated."""
         phi = np.full((pattern.q, pattern.q), np.nan)
         np.fill_diagonal(phi, 1.0)
-        return cls(pattern, phi, psi_floor)
+        return cls(pattern, phi)
 
     @classmethod
-    def fixed_phi(
-        cls,
-        pattern: LoadingPattern,
-        value: float | np.ndarray,
-        psi_floor: float = DEFAULT_PSI_FLOOR,
-    ):
+    def fixed_phi(cls, pattern: LoadingPattern, value: float | np.ndarray):
         """Model with all inter-factor correlations fixed.
 
         ``value`` is a scalar applied to every factor pair, or a full q x q
@@ -192,7 +188,7 @@ class FactorModel:
         else:
             phi = np.asarray(value, dtype=float).copy()
         np.fill_diagonal(phi, 1.0)
-        return cls(pattern, phi, psi_floor)
+        return cls(pattern, phi)
 
     @property
     def p(self) -> int:
@@ -263,8 +259,6 @@ def validate_model(model: FactorModel) -> list[str]:
     bad = off[~np.isnan(off)]
     if bad.size and (np.any(bad < -1.0) or np.any(bad > 1.0)):
         problems.append("fixed phi entries must lie in [-1, 1]")
-    if not model.psi_floor > 0:
-        problems.append("uniqueness floor must be positive")
     return problems
 
 
@@ -339,8 +333,7 @@ class StackedLayout(NamedTuple):
 
     Each model's free loading cells and free correlation pairs (as
     :attr:`FactorModel.loading_cells` and :attr:`FactorModel.phi_pairs`),
-    its correlation matrix with the free entries at zero, and its
-    uniqueness floor, as a column.
+    and its correlation matrix with the free entries at zero.
     """
 
     loading_rows: np.ndarray
@@ -348,11 +341,10 @@ class StackedLayout(NamedTuple):
     phi_rows: np.ndarray
     phi_cols: np.ndarray
     phi_base: np.ndarray
-    psi_floor: np.ndarray
 
     @classmethod
     def of(cls, models: Sequence[FactorModel]) -> "StackedLayout":
-        parts = [(*m.loading_cells, *m.phi_pairs, m.phi_base, [m.psi_floor]) for m in models]
+        parts = [(*m.loading_cells, *m.phi_pairs, m.phi_base) for m in models]
         return cls(*(np.stack(column) for column in zip(*parts)))
 
     def take(self, rows) -> "StackedLayout":

@@ -113,6 +113,43 @@ class TestFitCommand:
         assert code == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "constant_column, extra, message",
+        [(True, [], "x5 have zero variance"), (False, ["--n", "50"], "row count")],
+        ids=["constant column", "n flag"],
+    )
+    def test_unusable_raw_input_is_input_error(
+        self, tmp_path, data_dir, population, capsys, constant_column, extra, message
+    ):
+        from bufcfa.io import write_raw_data
+        from bufcfa.simulation import draw_sample
+
+        data, _ = draw_sample(population.sigma, 400, 8)
+        if constant_column:
+            data[:, 4] = 0.1
+        raw = tmp_path / "sample.raw"
+        write_raw_data(raw, data, [f"x{i}" for i in range(1, 19)])
+        code = cli.main([
+            "fit",
+            "--model", str(data_dir / "one_step.model"),
+            "--data", str(raw),
+            *extra,
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_n_flag_overrides_matrix_header(self, tmp_path, data_dir):
+        out = tmp_path / "result.json"
+        code = cli.main([
+            "fit",
+            "--model", str(data_dir / "one_step.model"),
+            "--data", str(data_dir / "population_corr.dat"),
+            "--n", "750",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert read_result(out)["steps"][-1]["report"]["n"] == 750
+
     def test_nonconvergence_exit_code(self, data_dir, monkeypatch):
         import bufcfa.procedures as procedures
 

@@ -453,7 +453,7 @@ class TestExpectedInformation:
         assert info.shape == (model.n_parameters, model.n_parameters)
         assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
 
-    def test_equals_hessian_in_solver_coordinates(self, free_pattern, monkeypatch):
+    def test_equals_hessian_in_solver_coordinates(self, free_pattern):
         # Self-weighted constraints: the map from the solver's z to theta
         # solves every pivot and log-transforms psi.
         model = FactorModel.free_phi(free_pattern)
@@ -471,19 +471,11 @@ class TestExpectedInformation:
         psi = rng.uniform(0.3, 0.6, size=model.p)
         S = implied_covariance(lam, phi, psi)
 
-        captured = {}
-        solve = estimation._quasi_newton
-
-        def capture(objective, information, z0):
-            captured.update(objective=objective, information=information, z0=z0)
-            return solve(objective, information, z0)
-
-        monkeypatch.setattr(estimation, "_quasi_newton", capture)
-        fit(model, cset, SampleMoments(S), (lam, phi, psi))
-        objective, z0 = captured["objective"], captured["z0"]
+        fits = estimation._Fits([model], cset, SampleMoments(S))
+        objective, z0 = fits.objective, fits.start((lam, phi, psi))[0]
         assert z0.size == model.n_parameters - len(cset)
         assert np.max(np.abs(objective(z0)[1])) < 1e-12
-        info = captured["information"](z0)
+        info = fits.information(z0)
         hessian = central_difference_hessian(lambda z: objective(z)[1], z0)
         assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
 
@@ -684,20 +676,20 @@ class TestFitEach:
             icm_solution = fit(icm_model, None, moments)
             start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
         rounds, overflowed, finishes = [], [], []
-        evaluate, score = estimation._discrepancy_and_gradient, estimation._score
+        evaluate, finish = estimation._discrepancy_and_gradient, estimation._Fits.finish
 
         def record(layout, lam, phi, psi, S):
             rounds.append(len(lam))
             overflowed.append(bool(np.isinf(psi).any()))
             return evaluate(layout, lam, phi, psi, S)
 
-        def record_score(objective, information, result):
-            finished = score(objective, information, result)
+        def record_finish(fits, row, result):
+            finished = finish(fits, row, result)
             finishes.append((result, finished))
             return finished
 
         monkeypatch.setattr(estimation, "_discrepancy_and_gradient", record)
-        monkeypatch.setattr(estimation, "_score", record_score)
+        monkeypatch.setattr(estimation._Fits, "finish", record_finish)
         solutions = fit_each(models, moments, start)
         monkeypatch.undo()
         stacked = [size for size in rounds if size > 1]
@@ -707,9 +699,10 @@ class TestFitEach:
             assert any(overflowed)
             assert solutions[0].n_iterations == 129
         else:
-            result, (_, grad_norm, nit) = finishes[1]
+            result, finished = finishes[1]
             assert np.max(np.abs(result.jac)) >= estimation.GRADIENT_TOL
-            assert grad_norm < estimation.GRADIENT_TOL and nit > result.nit
+            assert finished.gradient_norm < estimation.GRADIENT_TOL
+            assert finished.n_iterations > result.nit
         assert all(solution.converged for solution in solutions)
         assert_equal_to_serial_fits(solutions, models, moments, start)
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bufcfa.errors import InputError
+from bufcfa.errors import InputError, StructureError
+from bufcfa.estimation import SampleMoments
 from bufcfa.io import (
     read_correlation_matrix,
     read_raw_data,
@@ -63,6 +64,21 @@ class TestCorrelationInput:
         path.write_text("n: 50\n1,0.2\n0.2,1\n")
         assert read_correlation_matrix(path).S[0, 1] == 0.2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.dat"
+        path.write_text(f"n: 50\n1 0.2 0.1\n0.2 1 {value}\n0.1 {value} 1\n")
+        with pytest.raises(InputError, match=r"nonfinite\.dat:3: non-finite matrix entry"):
+            read_correlation_matrix(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_sample_moments_reject_non_finite_entries(value):
+    S = np.eye(3)
+    S[0, 2] = S[2, 0] = value
+    with pytest.raises(StructureError, match="non-finite"):
+        SampleMoments(S)
+
 
 class TestRawInput:
     def test_round_trip_matches_sampler(self, tmp_path, population):
@@ -85,6 +101,19 @@ class TestRawInput:
         path = tmp_path / "short.raw"
         path.write_text("a b\n1 2\n")
         with pytest.raises(InputError, match="more observations"):
+            read_raw_data(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.raw"
+        path.write_text(f"a b\n1 2\n3 {value}\n5 7\n2 1\n")
+        with pytest.raises(InputError, match=r"nonfinite\.raw:3: non-finite data entry"):
+            read_raw_data(path)
+
+    def test_constant_column_rejected_by_name(self, tmp_path):
+        path = tmp_path / "constant.raw"
+        path.write_text("a b c\n1 0.1 5\n3 0.1 4\n5 0.1 9\n4 0.1 1\n")
+        with pytest.raises(InputError, match="variable\\(s\\) b have zero variance"):
             read_raw_data(path)
 
 
