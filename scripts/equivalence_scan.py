@@ -4,9 +4,9 @@
 
 Each sample is an n = 300 draw from the population of
 ``data/population_corr.dat`` (``draw_sample`` with ``SeedSequence([777, s])``).
-Every sample is fitted by five procedures: ICM, one-step with free phi,
+Every sample is fitted by six procedures: ICM, one-step with free phi,
 one-step with phi .3, multi-step, and the specification search at
-threshold 10.  Each (sample, procedure) gives one line: the final F
+threshold 10 with free phi and with phi fixed at .3.  Each (sample, procedure) gives one line: the final F
 (``float.hex``), the iterations of every step, the convergence flag, and a
 SHA-256 over every step's F, estimates and, for the search, the MI table.
 
@@ -41,6 +41,9 @@ PROCEDURES = {
     "one-step-phi.3": lambda pattern, moments: one_step(pattern, 0.3, moments),
     "multi-step": lambda pattern, moments: multi_step(pattern, moments),
     "search": lambda pattern, moments: specification_search(pattern, moments, mi_threshold=10.0),
+    "search-phi.3": lambda pattern, moments: specification_search(
+        pattern, moments, mi_threshold=10.0, phi_spec=0.3
+    ),
 }
 
 

@@ -14,11 +14,15 @@ F and its gradient are computed for a stack of parameter points, one
 model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
 same-sized models together: each model keeps its own BFGS (the
 :func:`_bfgs` generator), and one driver (:func:`_lock_step`) evaluates
-every round's pending trial points as one stack.  :func:`fit` is a
-lock-step of one, through :func:`minimize`, the one-row adapter.  Both end
-each row in :meth:`_Fits.finish`.  A slice goes through the same
-operations as a stack of one, so those fits are bit-identical to serial
-:func:`fit` calls.
+every round's pending trial points as one stack.  The start is batched as
+well: rows at one start point share one expected information over the
+union of their free parameters (:meth:`_Fits.informations`), and the
+starting inverses are one batched inverse (:func:`_pd_inverses`).  So is
+the finish (:meth:`_Fits.finish`): after any per-row scoring steps, every
+row is unpacked, sign-aligned and scored as one stack.  :func:`fit` is a
+stack of one, driven through :func:`minimize`, the one-row adapter.  A
+slice goes through the same operations as a stack of one, so those fits
+are bit-identical to serial :func:`fit` calls.
 
 Every evaluation factors each Sigma once, with numpy's Cholesky and one
 p-wide triangular inversion (:func:`_cholesky_inverse`); the model's index
@@ -46,12 +50,10 @@ from .constraints import (
 from .errors import NumericalError, StructureError
 from .model import (
     PSI_FLOOR,
-    CellRole,
     FactorModel,
     Solution,
     StackedLayout,
     implied_covariance,
-    pack,
     unpack,
 )
 
@@ -170,10 +172,6 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     log_det_S = float(_cholesky(S[None])[0][0])
     if not math.isfinite(log_det_S):
         raise NumericalError("sample matrix is not positive definite")
-    return _fit_function(sigma, S, log_det_S)
-
-
-def _fit_function(sigma: np.ndarray, S: np.ndarray, log_det_S: float) -> float:
     f = float(_discrepancy(sigma[None], S, log_det_S)[0][0])
     if math.isnan(f):
         raise NumericalError("model-implied matrix is not positive definite")
@@ -217,10 +215,12 @@ def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndar
     return grad[0]
 
 
-def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndarray]:
+def _expected_information(cells, pairs, lam, phi, psi) -> Optional[np.ndarray]:
     """Expected Hessian of F in packed parameters, None where Sigma is not PD.
 
-    ``H[a, b] = tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b)``, the Fisher-scoring
+    The parameters are the loadings at ``cells`` and the correlations at
+    ``pairs`` (row and column index arrays, in packed order), then the p
+    uniquenesses.  ``H[a, b] = tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b)``, the Fisher-scoring
     matrix, which equals the Hessian of F wherever S = Sigma.  Every
     derivative has the form ``x y' + y x'``: ``x = e_i, y = (Lambda Phi)[:, j]``
     for a loading, ``x = l_a, y = l_b`` for a correlation and
@@ -232,12 +232,13 @@ def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndar
     if not math.isfinite(log_det[0]):
         return None
     sig_inv = sig_inv[0]
-    phis = slice(model.n_free_loadings, model.psi_offset)
-    psis = np.arange(model.psi_offset, model.n_parameters)
-    rows, cols = model.loading_cells
-    a, b = model.phi_pairs
-    x = np.zeros((p, model.n_parameters))
-    y = np.zeros((p, model.n_parameters))
+    rows, cols = cells
+    a, b = pairs
+    psi_offset = rows.size + a.size
+    phis = slice(rows.size, psi_offset)
+    psis = np.arange(psi_offset, psi_offset + p)
+    x = np.zeros((p, psis[-1] + 1))
+    y = np.zeros((p, psis[-1] + 1))
     x[rows, np.arange(rows.size)] = 1.0
     y[:, :rows.size] = (lam @ phi)[:, cols]
     x[:, phis] = lam[:, a]
@@ -249,39 +250,18 @@ def _expected_information(model: FactorModel, lam, phi, psi) -> Optional[np.ndar
     return 2.0 * (x_px * y_py + x_py * x_py.T)
 
 
-def _starting_point(model: FactorModel, start) -> np.ndarray:
-    """Packed start from a ``(lambda, phi, psi)`` triple, or the cold start if None."""
-    if start is None:
-        salient = model.pattern.cells == CellRole.SALIENT_FREE
-        start = np.where(salient, _COLD_START, 0.0), model.phi_base, np.full(model.p, _COLD_START)
-    lam, phi, psi = start
-    return pack(model, lam, phi, np.maximum(psi, 2 * PSI_FLOOR))
+def _align_signs(lam, phi, first, flippable) -> tuple[np.ndarray, np.ndarray]:
+    """Flip factor columns of a stack so that each first salient loading is nonnegative.
 
-
-def _align_signs(model: FactorModel, lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip factor columns so the first salient loading is nonnegative.
-
-    A column is only flipped when every off-diagonal phi entry involving it
-    is free; flipping a fixed correlation would change the fitted model.
+    ``first[r, f]`` is row r's first salient variable on factor f.  Only
+    columns with ``flippable[r, f]`` flip: those whose every off-diagonal
+    phi entry is free, since flipping a fixed correlation would change the
+    fitted model.  Each flip negates exactly.
     """
-    lam = lam.copy()
-    phi = phi.copy()
-    q = model.q
-    free = np.isnan(model.phi_fixed)
-    for f in range(q):
-        flippable = all(free[f, g] for g in range(q) if g != f)
-        if not flippable:
-            continue
-        first = next(
-            (i for i in range(model.p) if model.pattern.cells[i, f] is CellRole.SALIENT_FREE),
-            None,
-        )
-        if first is not None and lam[first, f] < 0:
-            lam[:, f] *= -1.0
-            phi[f, :] *= -1.0
-            phi[:, f] *= -1.0
-            phi[f, f] = 1.0
-    return lam, phi
+    k, _, q = lam.shape
+    flip = flippable & (lam[np.arange(k)[:, None], first, np.arange(q)] < 0)
+    sign = np.where(flip, -1.0, 1.0)
+    return lam * sign[:, None, :], phi * (sign[:, :, None] * sign[:, None, :])
 
 
 class _Fits:
@@ -291,9 +271,10 @@ class _Fits:
     with log(psi - floor) for psi.  Only a stack of one takes constraints:
     each is solved for its pivot (``choose_pivots``), and BFGS runs over
     the other parameters on the reduced gradient ``g - J' mu``, with
-    multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points`` and
-    ``objectives`` evaluate the listed rows at their solver points, one row
-    of ``Z`` each; ``objective``, ``information`` and ``finish`` take one row.
+    multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points``,
+    ``objectives`` and ``informations`` evaluate the listed rows at their
+    solver points, one row of ``Z`` each; ``objective`` takes one row, and
+    ``finish`` every row.
     """
 
     def __init__(self, models: Sequence[FactorModel], constraints: Optional[ConstraintSet], moments):
@@ -304,14 +285,19 @@ class _Fits:
                 raise StructureError(
                     f"moment matrix order {moments.p} does not match model p={model.p}"
                 )
-        if len({(model.q, model.n_free_loadings, model.n_free_phi) for model in models}) > 1:
-            raise StructureError("models fitted together must have one size")
         self.models, self.constraints, self.moments = models, constraints, moments
         self.layout = models[0].layout if len(models) == 1 else StackedLayout.of(models)
         model = models[0]
+        self.salient = np.array([model.pattern.salient for model in models])
+        # Sign alignment: each row's first salient variable per factor (a
+        # valid model has one on every factor), and the factors whose every
+        # correlation is free.
+        self.first_salient = self.salient.argmax(axis=1)
+        free_phi = np.isnan([model.phi_fixed for model in models]) | np.eye(model.q, dtype=bool)
+        self.flippable = free_phi.all(axis=2)
         self.m = len(constraints) if constraints is not None else 0
         self.keep = slice(None)
-        self.log_psi = slice(model.psi_offset, None)
+        self.log_psi = slice(-model.p, None)  # the last p of theta, and of any union
         self.fixed_jac = None
         if self.m:
             self.pivots = choose_pivots(constraints, model)
@@ -327,7 +313,14 @@ class _Fits:
 
     def start(self, start) -> np.ndarray:
         """Every row's solver point at a ``(lambda, phi, psi)`` start, cold if None."""
-        theta = np.stack([_starting_point(model, start) for model in self.models])
+        p, q = self.salient.shape[1:]
+        if start is None:
+            lam = np.where(self.salient, _COLD_START, 0.0)
+            start = lam, self.layout.phi_base, np.full(p, _COLD_START)
+        lam, phi, psi = (np.asarray(a, dtype=float) for a in start)
+        if lam.shape[-2:] != (p, q) or phi.shape[-2:] != (q, q) or psi.shape != (p,):
+            raise StructureError(f"start does not match the model's p={p}, q={q}")
+        theta = self.layout.pack(lam, phi, np.maximum(psi, 2 * PSI_FLOOR))
         log_psi = self.log_psi
         theta[:, log_psi] = np.log(np.maximum(theta[:, log_psi] - PSI_FLOOR, 1e-300))
         return theta[:, self.keep]
@@ -363,62 +356,93 @@ class _Fits:
     def objective(self, z, row=0):
         return self.objectives([row], z[None])[0]
 
-    def information(self, z, row=0):
-        """Expected information in z for one row, None where Sigma is not PD.
+    def informations(self, rows, Z) -> np.ndarray:
+        """Expected information in z of each listed row, NaN where Sigma is not PD.
 
         That is ``T' info T`` with ``T = d theta / d z``: the identity on kept
         parameters, psi - floor on log-psi, and on each pivot row
-        -J[r, keep] / J[r, pivot].
+        -J[r, keep] / J[r, pivot].  Rows at one point (lambda, phi, psi) share
+        one information over the union of their free parameters, and each
+        takes its principal submatrix; every entry is the same arithmetic as
+        in the row's own, so a row gets the same bits either way.
         """
-        model = self.models[row]
-        _, theta, lam, phi, psi = self.points([row], z[None])
-        info = _expected_information(model, lam[0], phi[0], psi[0])
-        if info is None:
-            return None
-        theta, keep, log_psi = theta[0], self.keep, self.log_psi
-        T = np.eye(theta.size)[:, keep]
-        T[log_psi] *= (theta[log_psi] - PSI_FLOOR)[:, None]
-        if self.m:
-            jac, params = self.jacobian(theta), self.pivots.params
-            T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
-        return T.T @ info @ T
+        layout, theta, lam, phi, psi = self.points(rows, Z)
+        groups = {}
+        for r, point in enumerate(zip(lam, phi, psi)):
+            groups.setdefault(b"".join(a.tobytes() for a in point), []).append(r)
+        out = np.full((len(rows), Z.shape[1], Z.shape[1]), np.nan)
+        for group in groups.values():
+            r = group[0]
+            cells = layout.loading_rows[r], layout.loading_cols[r]
+            pairs = layout.phi_rows[r], layout.phi_cols[r]
+            if len(group) > 1:  # only unconstrained stacks have more rows, so z is theta
+                cells, pairs, positions = layout.take(group).union(psi.shape[1])
+            info = _expected_information(cells, pairs, lam[r], phi[r], psi[r])
+            if info is None:
+                continue
+            keep, log_psi = self.keep, self.log_psi
+            T = np.eye(len(info))[:, keep]
+            T[log_psi] *= (theta[r, log_psi] - PSI_FLOOR)[:, None]
+            if self.m:
+                jac, params = self.jacobian(theta[r]), self.pivots.params
+                T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
+            info = T.T @ info @ T
+            if len(group) > 1:
+                info = info[positions[:, :, None], positions[:, None, :]]
+            out[group] = info
+        return out
 
-    def finish(self, row, result) -> Solution:
-        """Row ``row``'s solution from its BFGS result, after any scoring steps.
+    def finish(self, results) -> list[Solution]:
+        """Every row's solution from its BFGS result, after any scoring steps.
 
         Near the optimum the rounding error of F can stall the line search a
         hair above ``GRADIENT_TOL``.  Scoring steps ``z - information(z)^-1 g``
         need no function values; each is taken only while it keeps Sigma
         positive definite and halves the gradient norm.  BFGS iterations and
-        scoring steps share ``MAX_ITERATIONS``.
+        scoring steps share ``MAX_ITERATIONS``.  A row takes its scoring
+        steps on its own; then every row's point is unpacked, sign-aligned
+        and scored (``f_min``) as one stack.
         """
-        z, grad, nit = result.x, result.jac, result.nit
-        while np.max(np.abs(grad)) >= GRADIENT_TOL and nit < MAX_ITERATIONS:
-            inverse = _pd_inverse(self.information(z, row))
-            if inverse is None:
-                break
-            step = z - inverse @ grad
-            f, step_grad = self.objective(step, row)
-            if f >= _INFEASIBLE_F or not np.max(np.abs(step_grad)) < 0.5 * np.max(np.abs(grad)):
-                break
-            z, grad, nit = step, step_grad, nit + 1
-        grad_norm = float(np.max(np.abs(grad)))
-        _, _, lam, phi, psi = self.points([row], z[None])
-        model, moments = self.models[row], self.moments
-        lam, phi = _align_signs(model, lam[0], phi[0])
-        psi = psi[0]
-        f_min = _fit_function(implied_covariance(lam, phi, psi), moments.S, moments.log_det)
-        residuals = evaluate_lambda(self.constraints, lam) if self.m else np.zeros(0)
-        return Solution(
-            lambda_hat=lam,
-            phi_hat=phi,
-            psi_hat=psi,
-            f_min=f_min,
-            n_iterations=nit,
-            converged=bool(grad_norm < GRADIENT_TOL and np.all(np.abs(residuals) < FEASIBILITY_TOL)),
-            constraint_residuals=residuals,
-            gradient_norm=grad_norm,
-        )
+        points, grad_norms, nits = [], [], []
+        for row, result in enumerate(results):
+            z, grad, nit = result.x, result.jac, result.nit
+            while np.max(np.abs(grad)) >= GRADIENT_TOL and nit < MAX_ITERATIONS:
+                inverse = _pd_inverses(self.informations([row], z[None]))[0]
+                if inverse is None:
+                    break
+                step = z - inverse @ grad
+                f, step_grad = self.objective(step, row)
+                if f >= _INFEASIBLE_F or not np.max(np.abs(step_grad)) < 0.5 * np.max(np.abs(grad)):
+                    break
+                z, grad, nit = step, step_grad, nit + 1
+            points.append(z)
+            grad_norms.append(float(np.max(np.abs(grad))))
+            nits.append(nit)
+        _, _, lam, phi, psi = self.points(range(len(results)), np.array(points))
+        lam, phi = _align_signs(lam, phi, self.first_salient, self.flippable)
+        common = lam @ phi @ lam.transpose(0, 2, 1)
+        sigma = (common + common.transpose(0, 2, 1)) / 2.0
+        diag = np.arange(psi.shape[1])
+        sigma[:, diag, diag] += psi
+        f_min = _discrepancy(sigma, self.moments.S, self.moments.log_det)[0]
+        if np.isnan(f_min).any():
+            raise NumericalError("model-implied matrix is not positive definite")
+        f_min = f_min.tolist()
+        residuals = evaluate_lambda(self.constraints, lam[0]) if self.m else np.zeros(0)
+        feasible = bool(np.all(np.abs(residuals) < FEASIBILITY_TOL))
+        return [
+            Solution(
+                lambda_hat=lam[r],
+                phi_hat=phi[r],
+                psi_hat=psi[r],
+                f_min=f_min[r],
+                n_iterations=nits[r],
+                converged=grad_norms[r] < GRADIENT_TOL and feasible,
+                constraint_residuals=residuals,
+                gradient_norm=grad_norms[r],
+            )
+            for r in range(len(results))
+        ]
 
 
 def fit(
@@ -440,37 +464,46 @@ def fit(
     non-convergence is never silent.
     """
     fits = _Fits([model], constraints, moments)
-    z0 = fits.start(start)[0]
+    Z0 = fits.start(start)
     result = minimize(
         fits.objective,
-        z0,
-        hess_inv0=_pd_inverse(fits.information(z0)),
+        Z0[0],
+        hess_inv0=_pd_inverses(fits.informations([0], Z0))[0],
         gtol=GRADIENT_TOL,
         maxiter=MAX_ITERATIONS,
     )
-    return fits.finish(0, result)
+    return fits.finish([result])[0]
 
 
 def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) -> list[Solution]:
     """Unconstrained fits of same-sized models from one start, solved together.
 
     Each solution equals ``fit(model, None, moments, start)`` bit for bit.
-    Every model runs its own BFGS (:func:`_bfgs`) from the information
-    start; a round evaluates all pending trial points in one stacked call
-    (:func:`_lock_step`), and :meth:`_Fits.finish` finishes each model as
-    in :func:`fit`.  The models must share p, q and their counts of free
-    loadings and correlations.  The information is taken one model at a
-    time: stacked, it would hold three n x n products per model at once,
-    for about 2% of the time.
+    The models must share p, q and their counts of free loadings and
+    correlations.  Every step batches its rows the way :func:`fit` batches
+    its one row:
+
+    - The start: models whose unpacked start is equal (all of a search's
+      single-cell refits, whose freed cells start at zero) share one
+      expected information over the union of their free parameters
+      (:meth:`_Fits.informations`), and the starting inverse Hessians are
+      one batched inverse (:func:`_pd_inverses`); a row whose information
+      is not positive definite starts from the identity.
+    - The solve: every model runs its own BFGS (:func:`_bfgs`); a round
+      evaluates all pending trial points in one stacked call
+      (:func:`_lock_step`).
+    - The finish: :meth:`_Fits.finish` takes any scoring steps row by row,
+      then unpacks, aligns signs and scores every row as one stack.
     """
     if not models:
         return []
     fits = _Fits(models, None, moments)
+    Z0 = fits.start(start)
+    inverses = _pd_inverses(fits.informations(range(len(models)), Z0))
     solvers = [
-        _bfgs(z0, _pd_inverse(fits.information(z0, row)), GRADIENT_TOL, MAX_ITERATIONS)
-        for row, z0 in enumerate(fits.start(start))
+        _bfgs(z0, inverse, GRADIENT_TOL, MAX_ITERATIONS) for z0, inverse in zip(Z0, inverses)
     ]
-    return [fits.finish(row, r) for row, r in enumerate(_lock_step(solvers, fits.objectives))]
+    return fits.finish(_lock_step(solvers, fits.objectives))
 
 
 def minimize(objective, z0, *, hess_inv0, gtol, maxiter) -> OptimizeResult:
@@ -545,13 +578,19 @@ def _lock_step(solvers: list, evaluate) -> list:
     return results
 
 
-def _pd_inverse(matrix: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Exactly symmetric inverse of a positive definite matrix, else None."""
-    if matrix is None:
-        return None
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return None
-    inverse = np.linalg.inv(matrix)
-    return (inverse + inverse.T) / 2.0
+def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:
+    """Exactly symmetric inverse of each positive definite matrix in a stack, else None.
+
+    Positive definite means that the Cholesky factor exists (:func:`_cholesky`,
+    which factors slice by slice once a slice fails); a NaN slice fails it.
+    The inverses are one batched ``inv``: each slice is the same LAPACK call
+    as the inverse of that matrix alone.
+    """
+    ok = np.isfinite(_cholesky(matrices)[0])
+    out: list[Optional[np.ndarray]] = [None] * len(matrices)
+    if ok.any():
+        inverse = np.linalg.inv(matrices[ok])
+        inverse = (inverse + inverse.transpose(0, 2, 1)) / 2.0
+        for r, slice_ in zip(np.flatnonzero(ok).tolist(), inverse):
+            out[r] = slice_
+    return out

@@ -5,19 +5,21 @@ salient, free secondary, or fixed zero), :class:`FactorModel` (pattern plus
 factor-correlation and uniqueness specification), and the packing helpers
 that map free parameters to and from a flat vector.
 
-A model is immutable, so its invariants are checked once, at construction,
-and it compiles its layout once, on first use: the loading cells and
-correlation pairs of the packed vector as read-only index arrays.  Packing,
-unpacking and the gradient scatter are then single fancy-indexing
-operations over those arrays.  A :class:`StackedLayout` stacks the arrays
-of same-sized models, so that a stack of them unpacks in one operation.
+A model is immutable, so its invariants are checked once, at construction
+(memoised on the salient cells and the correlation spec, which are all
+they read), and it compiles its layout once, on first use: the loading
+cells and correlation pairs of the packed vector as read-only index
+arrays.  Packing, unpacking and the gradient scatter are then single
+fancy-indexing operations over those arrays.  A :class:`StackedLayout`
+holds the arrays of same-sized models, found for the whole stack in one
+pass, so that a stack of them packs and unpacks in one operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -96,6 +98,11 @@ class LoadingPattern:
         return hits[0]
 
     @cached_property
+    def salient(self) -> np.ndarray:
+        """p x q mask of the salient cells."""
+        return _readonly(self.cells == CellRole.SALIENT_FREE)
+
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Per factor, the variables whose salient loading sits on it."""
         out: list[list[int]] = [[] for _ in range(self.q)]
@@ -126,18 +133,23 @@ class LoadingPattern:
 
     def violations(self) -> list[str]:
         """All pattern-invariant violations, empty when the pattern is valid."""
-        problems = []
-        if not self.p >= self.q >= 2:
-            problems.append(f"requires p >= q >= 2, got p={self.p}, q={self.q}")
-        salient = self.cells == CellRole.SALIENT_FREE
-        for i, n_sal in enumerate(salient.sum(axis=1)):
-            if n_sal == 0:
-                problems.append(f"variable {i} has no salient factor")
-            elif n_sal > 1:
-                problems.append(f"variable {i} has multiple salient factors")
-        for j in np.flatnonzero(~salient.any(axis=0)):
-            problems.append(f"factor {j} has no salient variable (empty factor)")
-        return problems
+        return _salient_violations(self.salient)
+
+
+def _salient_violations(salient: np.ndarray) -> list[str]:
+    """The pattern invariants, which read only the p x q salient mask."""
+    problems = []
+    p, q = salient.shape
+    if not p >= q >= 2:
+        problems.append(f"requires p >= q >= 2, got p={p}, q={q}")
+    for i, n_sal in enumerate(salient.sum(axis=1)):
+        if n_sal == 0:
+            problems.append(f"variable {i} has no salient factor")
+        elif n_sal > 1:
+            problems.append(f"variable {i} has multiple salient factors")
+    for j in np.flatnonzero(~salient.any(axis=0)):
+        problems.append(f"factor {j} has no salient variable (empty factor)")
+    return problems
 
 
 PHI_FREE = "free"
@@ -201,18 +213,17 @@ class FactorModel:
     @cached_property
     def loading_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows and columns of the free loadings, in packed (row-major) order."""
-        free = self.pattern.cells != CellRole.FIXED_ZERO
-        return tuple(_readonly(a) for a in np.nonzero(free))
+        return self.layout.loading_rows[0], self.layout.loading_cols[0]
 
     @cached_property
     def phi_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows and columns (row > column) of the free correlations, in packed order."""
-        return tuple(_readonly(a) for a in np.nonzero(np.tril(np.isnan(self.phi_fixed), -1)))
+        return self.layout.phi_rows[0], self.layout.phi_cols[0]
 
     @cached_property
     def phi_base(self) -> np.ndarray:
         """The correlation matrix with every free entry at zero."""
-        return _readonly(np.nan_to_num(self.phi_fixed, nan=0.0))
+        return self.layout.phi_base[0]
 
     @cached_property
     def loading_index(self) -> np.ndarray:
@@ -231,7 +242,7 @@ class FactorModel:
 
     @cached_property
     def psi_offset(self) -> int:
-        return self.n_free_loadings + self.n_free_phi
+        return self.layout.psi_offset
 
     @cached_property
     def n_parameters(self) -> int:
@@ -245,9 +256,21 @@ class FactorModel:
 
 
 def validate_model(model: FactorModel) -> list[str]:
-    """Check all model invariants; returns the violation list (empty = ok)."""
-    problems = model.pattern.violations()
-    phi = model.phi_fixed
+    """Check all model invariants; returns the violation list (empty = ok).
+
+    They read only the salient cells and the correlation spec, so the
+    check is memoised on those: freeing a zero cell changes neither.
+    """
+    salient = model.pattern.salient
+    return list(_violations(salient.shape, salient.tobytes(), model.phi_fixed.tobytes()))
+
+
+@lru_cache(maxsize=256)
+def _violations(shape: tuple[int, int], salient: bytes, phi_fixed: bytes) -> tuple[str, ...]:
+    """:func:`validate_model`'s findings, from its inputs as bytes."""
+    q = shape[1]
+    problems = _salient_violations(np.frombuffer(salient, dtype=bool).reshape(shape))
+    phi = np.frombuffer(phi_fixed).reshape(q, q)
     fixed = ~np.isnan(phi)
     if not np.array_equal(fixed, fixed.T) or not np.allclose(
         np.where(fixed, phi, 0.0), np.where(fixed, phi, 0.0).T
@@ -255,11 +278,11 @@ def validate_model(model: FactorModel) -> list[str]:
         problems.append("phi spec is not symmetric")
     if not np.all(np.diag(phi) == 1.0):
         problems.append("phi diagonal must be fixed to 1")
-    off = phi[~np.eye(model.q, dtype=bool)]
+    off = phi[~np.eye(q, dtype=bool)]
     bad = off[~np.isnan(off)]
     if bad.size and (np.any(bad < -1.0) or np.any(bad > 1.0)):
         problems.append("fixed phi entries must lie in [-1, 1]")
-    return problems
+    return tuple(problems)
 
 
 def implied_covariance(lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -310,11 +333,7 @@ def pack(model: FactorModel, lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) 
         raise StructureError(f"lambda shape {lam.shape} does not match pattern")
     if psi.shape != (model.p,):
         raise StructureError(f"psi shape {psi.shape} does not match p={model.p}")
-    theta = np.empty(model.n_parameters)
-    theta[: model.n_free_loadings] = lam[model.loading_cells]
-    theta[model.n_free_loadings : model.psi_offset] = phi[model.phi_pairs]
-    theta[model.psi_offset :] = psi
-    return theta
+    return model.layout.pack(lam, phi, psi)[0]
 
 
 def unpack(model: FactorModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,17 +363,67 @@ class StackedLayout(NamedTuple):
 
     @classmethod
     def of(cls, models: Sequence[FactorModel]) -> "StackedLayout":
-        parts = [(*m.loading_cells, *m.phi_pairs, m.phi_base) for m in models]
-        return cls(*(np.stack(column) for column in zip(*parts)))
+        """The layout of same-sized models, from their stacked cells and correlation specs."""
+        if len({(model.p, model.q) for model in models}) > 1:
+            raise StructureError("models stacked together must have one size")
+        k, q = len(models), models[0].q
+        free = np.array([model.pattern.cells for model in models]) != CellRole.FIXED_ZERO
+        phi = np.array([model.phi_fixed for model in models])
+        pairs = np.isnan(phi) & np.tri(q, k=-1, dtype=bool)
+        counts = free.sum(axis=(1, 2)), pairs.sum(axis=(1, 2))
+        if any(np.ptp(count) for count in counts):
+            raise StructureError("models stacked together must have one size")
+        _, loading_rows, loading_cols = (a.reshape(k, counts[0][0]) for a in np.nonzero(free))
+        _, phi_rows, phi_cols = (a.reshape(k, counts[1][0]) for a in np.nonzero(pairs))
+        return cls(loading_rows, loading_cols, phi_rows, phi_cols, np.nan_to_num(phi, nan=0.0))
+
+    @property
+    def psi_offset(self) -> int:
+        """Free loadings plus free correlations: where the uniquenesses start."""
+        return self.loading_rows.shape[1] + self.phi_rows.shape[1]
 
     def take(self, rows) -> "StackedLayout":
         """The layout of the given rows."""
         return StackedLayout(*(a[rows] for a in self))
 
+    def union(self, p: int) -> tuple[tuple, tuple, np.ndarray]:
+        """The union of the rows' free parameters, and each row's place in it.
+
+        Returns the union's loading cells and correlation pairs, in packed
+        order, with p uniquenesses after them, and per row the union
+        positions of its own packed parameters.
+        """
+        q = self.phi_base.shape[1]
+        free_cells = np.zeros((p, q), dtype=bool)
+        free_cells[self.loading_rows, self.loading_cols] = True
+        free_pairs = np.zeros((q, q), dtype=bool)
+        free_pairs[self.phi_rows, self.phi_cols] = True
+        cells, pairs = np.nonzero(free_cells), np.nonzero(free_pairs)
+        # A free cell's union position counts the free cells before it, row-major.
+        position = np.cumsum(free_cells).reshape(p, q) - 1
+        pair_position = cells[0].size + np.cumsum(free_pairs).reshape(q, q) - 1
+        psi_position = cells[0].size + pairs[0].size + np.arange(p)
+        return cells, pairs, self.pack(position, pair_position, psi_position)
+
+    def pack(self, lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Packed rows from stacks of lambda, phi and psi, as :func:`pack` row by row.
+
+        A single matrix or vector in place of a stack is every row's.
+        """
+        k = len(self.loading_rows)
+        stack = np.arange(k)[:, None]
+        lam = np.broadcast_to(lam, (k, *lam.shape[-2:]))
+        phi = np.broadcast_to(phi, (k, *phi.shape[-2:]))
+        return np.hstack([
+            lam[stack, self.loading_rows, self.loading_cols],
+            phi[stack, self.phi_rows, self.phi_cols],
+            np.broadcast_to(psi, (k, psi.shape[-1])),
+        ])
+
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacks of lambda, phi and psi from packed rows, as :func:`unpack` row by row."""
         k, n_loadings = self.loading_rows.shape
-        psi_offset = n_loadings + self.phi_rows.shape[1]
+        psi_offset = self.psi_offset
         q = self.phi_base.shape[1]
         stack = np.arange(k)[:, None]
         lam = np.zeros((k, theta.shape[1] - psi_offset, q))

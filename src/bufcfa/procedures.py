@@ -176,7 +176,9 @@ def specification_search(
 
     The index of each fixed-zero cell is the exact chi-square drop from
     refitting with that single cell freed; the refits start from the
-    independent-clusters estimates and run together (``fit_each``).
+    independent-clusters estimates and run together (``fit_each``): one
+    shared start information, one stacked solve and one stacked finish,
+    each refit bit-identical to its own ``fit``.
     Per factor, at most ``max_freed_per_factor`` cells with index above
     ``mi_threshold`` are freed (largest first; ties break by factor then
     variable order), and the final model refits them simultaneously.  The

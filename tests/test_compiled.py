@@ -26,7 +26,7 @@ from bufcfa.constraints import (
     swap_members,
 )
 from bufcfa.errors import StructureError
-from bufcfa.model import CellRole, FactorModel, pack, unpack
+from bufcfa.model import CellRole, FactorModel, StackedLayout, pack, unpack
 from bufcfa.simulation import block_pattern
 
 
@@ -197,6 +197,30 @@ def test_constraint_without_members_has_no_pivot(members):
     )
     with pytest.raises(StructureError, match="constraint 0 .* no free member"):
         choose_pivots(cset, model)
+
+
+@pytest.mark.parametrize("phi_spec", ["free", "fixed"])
+def test_stacked_layout_rows_are_each_models_layout(phi_spec):
+    # A search's single-cell refits in one stack; fixed rows alternate
+    # between two correlation values, so each row keeps its own phi.
+    pattern = block_pattern(3, 6, "zero")
+    zero_cells = [tuple(c) for c in np.argwhere(pattern.cells == CellRole.FIXED_ZERO).tolist()]
+    models = [
+        FactorModel.free_phi(pattern.with_cells_freed([cell]))
+        if phi_spec == "free"
+        else FactorModel.fixed_phi(pattern.with_cells_freed([cell]), (0.3, 0.5)[k % 2])
+        for k, cell in enumerate(zero_cells)
+    ]
+    layout = StackedLayout.of(models)
+    theta = np.random.default_rng(4).standard_normal((len(models), models[0].n_parameters))
+    lam, phi, psi = layout.unpack(theta)
+    for r, model in enumerate(models):
+        cells, pairs = ref_cells(model)
+        assert list(zip(layout.loading_rows[r].tolist(), layout.loading_cols[r].tolist())) == cells
+        assert list(zip(layout.phi_rows[r].tolist(), layout.phi_cols[r].tolist())) == pairs
+        for got, want in zip((lam[r], phi[r], psi[r]), ref_unpack(model, theta[r])):
+            assert np.array_equal(got, want)
+    assert np.array_equal(layout.pack(lam, phi, psi), theta)
 
 
 def test_compiled_arrays_are_read_only(free_pattern):

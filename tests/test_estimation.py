@@ -18,6 +18,7 @@ from bufcfa import estimation
 from bufcfa.errors import NumericalError, StructureError
 from bufcfa.estimation import SampleMoments, fit, fit_each, ml_discrepancy, ml_gradient
 from bufcfa.model import (
+    PSI_FLOOR,
     CellRole,
     FactorModel,
     LoadingPattern,
@@ -448,7 +449,9 @@ class TestExpectedInformation:
         psi = rng.uniform(0.3, 0.6, size=model.p)
         S = implied_covariance(lam, phi, psi)
         theta = pack(model, lam, phi, psi)
-        info = estimation._expected_information(model, *unpack(model, theta))
+        info = estimation._expected_information(
+            model.loading_cells, model.phi_pairs, *unpack(model, theta)
+        )
         hessian = central_difference_hessian(lambda t: ml_gradient(model, t, S), theta)
         assert info.shape == (model.n_parameters, model.n_parameters)
         assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
@@ -475,7 +478,7 @@ class TestExpectedInformation:
         objective, z0 = fits.objective, fits.start((lam, phi, psi))[0]
         assert z0.size == model.n_parameters - len(cset)
         assert np.max(np.abs(objective(z0)[1])) < 1e-12
-        info = fits.information(z0)
+        info = fits.informations([0], z0[None])[0]
         hessian = central_difference_hessian(lambda z: objective(z)[1], z0)
         assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
 
@@ -484,12 +487,29 @@ class TestExpectedInformation:
         lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
         phi = np.full((3, 3), 1.5)
         np.fill_diagonal(phi, 1.0)
-        assert estimation._expected_information(model, lam, phi, np.full(18, 0.01)) is None
+        cells, pairs = model.loading_cells, model.phi_pairs
+        assert estimation._expected_information(cells, pairs, lam, phi, np.full(18, 0.01)) is None
+
+    def test_batched_inverse_falls_back_slice_by_slice(self):
+        # Slice 1 is indefinite and slice 3 is NaN (Sigma not PD): those two
+        # alone get None; every other slice is the per-matrix inverse.
+        rng = np.random.default_rng(5)
+        factors = rng.normal(size=(5, 6, 9))
+        stack = factors @ factors.transpose(0, 2, 1)
+        stack[1] -= 100.0 * np.eye(6)
+        stack[3] = np.nan
+        inverses = estimation._pd_inverses(stack)
+        assert [inverse is None for inverse in inverses] == [False, True, False, True, False]
+        for r in (0, 2, 4):
+            single = np.linalg.inv(stack[r])
+            assert inverses[r].tobytes() == ((single + single.T) / 2.0).tobytes()
+            assert inverses[r].tobytes() == estimation._pd_inverses(stack[r : r + 1])[0].tobytes()
 
     def test_identity_fallback_only_without_positive_definite_information(self):
-        assert estimation._pd_inverse(None) is None
-        assert estimation._pd_inverse(np.diag([1.0, -1.0])) is None
-        inverse = estimation._pd_inverse(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        # A NaN slice is the information where Sigma is not positive definite.
+        assert estimation._pd_inverses(np.full((1, 2, 2), np.nan)) == [None]
+        assert estimation._pd_inverses(np.diag([1.0, -1.0])[None]) == [None]
+        inverse = estimation._pd_inverses(np.array([[[4.0, 1.0], [1.0, 3.0]]]))[0]
         assert np.array_equal(inverse, inverse.T)
         assert np.allclose(inverse @ np.array([[4.0, 1.0], [1.0, 3.0]]), np.eye(2))
 
@@ -636,6 +656,30 @@ def moved_membership_models(pattern):
     return models
 
 
+def far_off_start(data_dir, pattern):
+    """The start of test_overflowing_trial_step_is_silent, with the ICM model
+    and its moved-membership models: the ICM row's trial steps overflow psi
+    and land on the non-PD path."""
+    S = read_correlation_matrix(data_dir / "population_corr.dat").S
+    _, moments = draw_sample(S, 60, np.random.SeedSequence([555, 26]))
+    lam = np.where(pattern.cells == CellRole.SALIENT_FREE, 0.05, 0.0)
+    models = [FactorModel.free_phi(pattern)] + moved_membership_models(pattern)
+    return moments, (lam, np.eye(3), np.full(18, 0.95)), models
+
+
+def record_information_sizes(monkeypatch):
+    """Parameter counts of every expected information taken from here on."""
+    sizes = []
+    information = estimation._expected_information
+
+    def record(cells, pairs, lam, phi, psi):
+        sizes.append(cells[0].size + pairs[0].size + psi.size)
+        return information(cells, pairs, lam, phi, psi)
+
+    monkeypatch.setattr(estimation, "_expected_information", record)
+    return sizes
+
+
 def assert_equal_to_serial_fits(solutions, models, moments, start):
     assert len(solutions) == len(models)
     for solution, model in zip(solutions, models):
@@ -661,13 +705,7 @@ class TestFitEach:
     @pytest.mark.parametrize("case", ["far-off start", "stalled row"])
     def test_rows_finish_in_different_rounds(self, case, data_dir, icm_pattern, monkeypatch):
         if case == "far-off start":
-            # The start of test_overflowing_trial_step_is_silent: the ICM
-            # row's trial steps overflow psi and land on the non-PD path.
-            S = read_correlation_matrix(data_dir / "population_corr.dat").S
-            _, moments = draw_sample(S, 60, np.random.SeedSequence([555, 26]))
-            lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.05, 0.0)
-            start = lam, np.eye(3), np.full(18, 0.95)
-            models = [FactorModel.free_phi(icm_pattern)] + moved_membership_models(icm_pattern)
+            moments, start, models = far_off_start(data_dir, icm_pattern)
         else:
             # Refit 1 of this sample stalls at F's rounding floor after 9
             # BFGS iterations; one scoring step finishes it.
@@ -683,9 +721,9 @@ class TestFitEach:
             overflowed.append(bool(np.isinf(psi).any()))
             return evaluate(layout, lam, phi, psi, S)
 
-        def record_finish(fits, row, result):
-            finished = finish(fits, row, result)
-            finishes.append((result, finished))
+        def record_finish(fits, results):
+            finished = finish(fits, results)
+            finishes.extend(zip(results, finished))
             return finished
 
         monkeypatch.setattr(estimation, "_discrepancy_and_gradient", record)
@@ -706,16 +744,127 @@ class TestFitEach:
         assert all(solution.converged for solution in solutions)
         assert_equal_to_serial_fits(solutions, models, moments, start)
 
+    @pytest.mark.parametrize("phi_spec", ["free", 0.3])
+    def test_refits_share_one_start_information(
+        self, population, icm_pattern, phi_spec, monkeypatch
+    ):
+        # Every refit starts at the ICM solution, its freed cell at zero: one
+        # information over all 54 loadings, each row's submatrix bit for bit.
+        _, moments = draw_sample(population.sigma, 300, np.random.SeedSequence([11, 0]))
+        icm_model, refits = single_cell_refits(icm_pattern, phi_spec)
+        icm_solution = fit(icm_model, None, moments)
+        start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+        fits = estimation._Fits(refits, None, moments)
+        Z0 = fits.start(start)
+        sizes = record_information_sizes(monkeypatch)
+        shared = fits.informations(range(len(refits)), Z0)
+        union = 54 + (3 if phi_spec == "free" else 0) + 18
+        assert sizes == [union]
+        for r, model in enumerate(refits):
+            own_fits = estimation._Fits([model], None, moments)
+            z0 = own_fits.start(start)
+            assert z0.tobytes() == Z0[r : r + 1].tobytes()
+            own = own_fits.informations([0], z0)[0]
+            assert shared[r].tobytes() == own.tobytes()
+            np.linalg.cholesky(own)
+        # A row whose uniquenesses move leaves the shared point.
+        Z0[1, -1] += 0.1
+        sizes.clear()
+        moved = fits.informations(range(len(refits)), Z0)[1]
+        own_fits = estimation._Fits([refits[1]], None, moments)
+        assert sorted(sizes) == [refits[1].n_parameters, union - 1]
+        assert moved.tobytes() == own_fits.informations([0], Z0[1:2])[0].tobytes()
+
+    def test_rows_at_different_starts_take_separate_informations(
+        self, data_dir, icm_pattern, monkeypatch
+    ):
+        # The ICM row starts at its own point.  The two rows that move one
+        # variable both start with its loadings at zero, so they share one
+        # information over 40 parameters; the three moved variables give three.
+        moments, start, models = far_off_start(data_dir, icm_pattern)
+        fits = estimation._Fits(models, None, moments)
+        Z0 = fits.start(start)
+        sizes = record_information_sizes(monkeypatch)
+        stacked = fits.informations(range(len(models)), Z0)
+        assert sizes == [39, 40, 40, 40]
+        for r, model in enumerate(models):
+            own_fits = estimation._Fits([model], None, moments)
+            own = own_fits.informations([0], own_fits.start(start))[0]
+            assert stacked[r].tobytes() == own.tobytes()
+
+    def test_row_without_positive_definite_information_starts_from_identity(
+        self, population, icm_pattern, monkeypatch
+    ):
+        # Factor 2's loadings start at zero.  Where it correlates .3 with the
+        # others, its loadings still move Sigma; where it is uncorrelated,
+        # they have zero derivatives, so that row's information is singular.
+        _, moments = draw_sample(population.sigma, 300, np.random.SeedSequence([11, 0]))
+        uncorrelated = np.full((3, 3), 0.3)
+        uncorrelated[2, :2] = uncorrelated[:2, 2] = 0.0
+        models = [
+            FactorModel.fixed_phi(icm_pattern, 0.3),
+            FactorModel.fixed_phi(icm_pattern, uncorrelated),
+        ]
+        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
+        lam[:, 2] = 0.0
+        start = lam, np.eye(3), np.full(18, 0.5)
+        hess_inv0 = []
+        bfgs = estimation._bfgs
+
+        def record(z0, inverse, *args):
+            hess_inv0.append(inverse)
+            return bfgs(z0, inverse, *args)
+
+        monkeypatch.setattr(estimation, "_bfgs", record)
+        solutions = fit_each(models, moments, start)
+        monkeypatch.undo()
+        assert hess_inv0[0] is not None and hess_inv0[1] is None
+        assert all(solution.converged for solution in solutions)
+        assert_equal_to_serial_fits(solutions, models, moments, start)
+
+    def test_start_floors_the_uniquenesses(self, population_moments, icm_pattern, monkeypatch):
+        # Uniquenesses below twice the floor start at twice the floor, whose
+        # solver coordinate log(psi - floor) is log(floor).
+        starts = []
+        bfgs = estimation._bfgs
+
+        def record(z0, *args):
+            starts.append(np.array(z0))
+            return bfgs(z0, *args)
+
+        monkeypatch.setattr(estimation, "_bfgs", record)
+        psi = np.full(18, 0.5)
+        psi[[0, 7]] = 0.0, 1e-4
+        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
+        model = FactorModel.free_phi(icm_pattern)
+        fit(model, None, population_moments, (lam, np.eye(3), psi))
+        fit_each([model, model], population_moments, (lam, np.eye(3), psi))
+        assert len(starts) == 3
+        for z0 in starts:
+            log_psi = z0[-18:]
+            assert log_psi[[0, 7]].tolist() == [np.log(PSI_FLOOR)] * 2
+            assert log_psi[1] == np.log(0.5 - PSI_FLOOR)
+
     def test_no_models(self, population_moments):
         assert fit_each([], population_moments) == []
 
+    @pytest.mark.parametrize("bad", ["lambda", "phi", "psi"])
+    def test_misshapen_start_rejected(self, population_moments, icm_pattern, bad):
+        start = {"lambda": np.zeros((18, 3)), "phi": np.eye(3), "psi": np.ones(18)}
+        start[bad] = {"lambda": np.zeros((18, 2)), "phi": np.eye(2), "psi": np.ones(17)}[bad]
+        start = start["lambda"], start["phi"], start["psi"]
+        model = FactorModel.free_phi(icm_pattern)
+        with pytest.raises(StructureError, match="start does not match"):
+            fit(model, None, population_moments, start)
+        with pytest.raises(StructureError, match="start does not match"):
+            fit_each([model, model], population_moments, start)
+
     def test_models_of_different_sizes_rejected(self, population_moments, icm_pattern):
-        models = [
-            FactorModel.free_phi(icm_pattern),
-            FactorModel.free_phi(icm_pattern.with_cells_freed([(0, 1)])),
-        ]
-        with pytest.raises(StructureError, match="one size"):
-            fit_each(models, population_moments)
+        # One more loading, then one factor fewer.
+        for other in (icm_pattern.with_cells_freed([(0, 1)]), block_pattern(2, 9, "zero")):
+            models = [FactorModel.free_phi(icm_pattern), FactorModel.free_phi(other)]
+            with pytest.raises(StructureError, match="one size"):
+                fit_each(models, population_moments)
 
     def test_stacked_kernel_equals_stacks_of_one(self, icm_pattern):
         # One slice of the stack is not positive definite: it alone reads NaN.
