@@ -8,7 +8,9 @@ Every sample is fitted by six procedures: ICM, one-step with free phi,
 one-step with phi .3, multi-step, and the specification search at
 threshold 10 with free phi and with phi fixed at .3.  Each (sample, procedure) gives one line: the final F
 (``float.hex``), the iterations of every step, the convergence flag, and a
-SHA-256 over every step's F, estimates and, for the search, the MI table.
+SHA-256 over every step's F and estimates, the trace's balance quality
+index (``float.hex``), its final pattern's cell roles and, for the search,
+the MI table.
 
 Two versions of the library give identical results on these samples
 exactly when the outputs are identical: point PYTHONPATH at each version's
@@ -54,6 +56,8 @@ def fingerprint(trace) -> str:
         digest.update(float(solution.f_min).hex().encode())
         for array in (solution.lambda_hat, solution.phi_hat, solution.psi_hat):
             digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    digest.update(float(trace.quality_index).hex().encode())
+    digest.update(" ".join(cell.value for cell in trace.pattern.cells.flat).encode())
     for i, j, mi in trace.mi_table or ():
         digest.update(f"{i},{j},{float(mi).hex()};".encode())
     return digest.hexdigest()

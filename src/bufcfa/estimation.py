@@ -25,20 +25,19 @@ slice goes through the same operations as a stack of one, so those fits
 are bit-identical to serial :func:`fit` calls.
 
 Every evaluation factors each Sigma once, with numpy's Cholesky and one
-p-wide triangular inversion (:func:`_cholesky_inverse`); the model's index
-arrays and the constraint set's flat arrays do the rest without Python
-loops over parameters.
+p-wide triangular inversion (:func:`_cholesky_inverse`); the stacked
+layout's ``pack`` gathers the gradient, and the constraint set's flat
+arrays do the rest, without Python loops over parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
-from scipy.optimize import OptimizeResult
 
 from .constraints import (
     ConstraintMode,
@@ -77,7 +76,8 @@ class SampleMoments:
 
     ``n`` may be None for population-matrix analyses, in which case only
     sample-size-free fit measures are available downstream.  ``log_det``
-    is ln|S|, kept from the positive-definiteness check.
+    is ln|S|, kept from the positive-definiteness check.  This is the one
+    place a moment matrix is checked for symmetry (to 1e-8) and symmetrised.
     """
 
     S: np.ndarray
@@ -184,6 +184,7 @@ def _discrepancy_and_gradient(layout: StackedLayout, lam, phi, psi, S):
     Slice ``r`` of ``lam``, ``phi`` and ``psi`` is a point of the model in
     row ``r`` of ``layout``.  F is NaN where Sigma is not positive definite.
     """
+    # Sigma is built here, not by implied_covariance, to reuse lam_phi for the gradient.
     lam_phi = lam @ phi
     common = lam_phi @ lam.transpose(0, 2, 1)
     sigma = (common + common.transpose(0, 2, 1)) / 2.0
@@ -193,15 +194,8 @@ def _discrepancy_and_gradient(layout: StackedLayout, lam, phi, psi, S):
     # W = Sigma^-1 (Sigma - S) Sigma^-1, symmetric
     W = sig_inv - sig_inv_S @ sig_inv
     W = (W + W.transpose(0, 2, 1)) / 2.0
-    k, n_loadings = layout.loading_rows.shape
-    psi_offset = n_loadings + layout.phi_rows.shape[1]
-    stack = np.arange(k)[:, None]
-    grad = np.empty((k, psi_offset + psi.shape[1]))
-    grad[:, :n_loadings] = 2.0 * (W @ lam_phi)[stack, layout.loading_rows, layout.loading_cols]
     phi_grad = lam.transpose(0, 2, 1) @ W @ lam
-    grad[:, n_loadings:psi_offset] = 2.0 * phi_grad[stack, layout.phi_rows, layout.phi_cols]
-    grad[:, psi_offset:] = W.diagonal(0, 1, 2)
-    return f, grad
+    return f, layout.pack(2.0 * (W @ lam_phi), 2.0 * phi_grad, W.diagonal(0, 1, 2))
 
 
 def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -234,17 +228,10 @@ def _expected_information(cells, pairs, lam, phi, psi) -> Optional[np.ndarray]:
     sig_inv = sig_inv[0]
     rows, cols = cells
     a, b = pairs
-    psi_offset = rows.size + a.size
-    phis = slice(rows.size, psi_offset)
-    psis = np.arange(psi_offset, psi_offset + p)
-    x = np.zeros((p, psis[-1] + 1))
-    y = np.zeros((p, psis[-1] + 1))
-    x[rows, np.arange(rows.size)] = 1.0
-    y[:, :rows.size] = (lam @ phi)[:, cols]
-    x[:, phis] = lam[:, a]
-    y[:, phis] = lam[:, b]
-    x[np.arange(p), psis] = 1.0
-    y[np.arange(p), psis] = 0.5
+    eye = np.eye(p)
+    # One column per parameter, in packed order: loadings, correlations, uniquenesses.
+    x = np.hstack([eye[:, rows], lam[:, a], eye])
+    y = np.hstack([(lam @ phi)[:, cols], lam[:, b], 0.5 * eye])
     px, py = sig_inv @ x, sig_inv @ y
     x_px, y_py, x_py = x.T @ px, y.T @ py, x.T @ py
     return 2.0 * (x_px * y_py + x_py * x_py.T)
@@ -420,10 +407,7 @@ class _Fits:
             nits.append(nit)
         _, _, lam, phi, psi = self.points(range(len(results)), np.array(points))
         lam, phi = _align_signs(lam, phi, self.first_salient, self.flippable)
-        common = lam @ phi @ lam.transpose(0, 2, 1)
-        sigma = (common + common.transpose(0, 2, 1)) / 2.0
-        diag = np.arange(psi.shape[1])
-        sigma[:, diag, diag] += psi
+        sigma = implied_covariance(lam, phi, psi)
         f_min = _discrepancy(sigma, self.moments.S, self.moments.log_det)[0]
         if np.isnan(f_min).any():
             raise NumericalError("model-implied matrix is not positive definite")
@@ -506,7 +490,16 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
     return fits.finish(_lock_step(solvers, fits.objectives))
 
 
-def minimize(objective, z0, *, hess_inv0, gtol, maxiter) -> OptimizeResult:
+class _BfgsResult(NamedTuple):
+    """Where :func:`_bfgs` stopped: the point, its gradient, and the counts."""
+
+    x: np.ndarray
+    jac: np.ndarray
+    nit: int
+    nfev: int
+
+
+def minimize(objective, z0, *, hess_inv0, gtol, maxiter) -> _BfgsResult:
     """Dense BFGS (:func:`_bfgs`) on ``objective(z) -> (F, gradient)``, from ``z0``.
 
     A lock-step (:func:`_lock_step`) of one.  Returns ``x``, ``jac``, ``nit``
@@ -525,8 +518,7 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     simply fails it.  The solve stops once ``max|g| < gtol`` or after
     ``maxiter`` iterations, and stalls where ``d`` is not downhill or no step
     passes within ``_MAX_HALVINGS`` halvings.  The rank-2 inverse update is
-    skipped where ``s'y <= 0``.  Returns an ``OptimizeResult`` with ``x``,
-    ``jac``, ``nit`` and ``nfev``.
+    skipped where ``s'y <= 0``.  Returns a :class:`_BfgsResult`.
     """
     z = np.asarray(z0, dtype=float)
     f, grad = yield z
@@ -553,7 +545,7 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
             h_change = H @ change
             H += ((curvature + change @ h_change) / curvature**2) * (step[:, None] * step)
             H -= (h_change[:, None] * step + step[:, None] * h_change) / curvature
-    return OptimizeResult(x=z, jac=grad, nit=nit, nfev=nfev)
+    return _BfgsResult(z, grad, nit, nfev)
 
 
 def _lock_step(solvers: list, evaluate) -> list:

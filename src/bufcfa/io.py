@@ -72,10 +72,6 @@ def read_correlation_matrix(path, n: Optional[int] = None) -> SampleMoments:
         widths = sorted({len(r) for r in rows})
         raise InputError(f"{path}: matrix is not square ({p} rows, widths {widths})")
     S = np.array(rows)
-    asym = float(np.max(np.abs(S - S.T)))
-    if asym > 1e-8:
-        raise InputError(f"{path}: matrix asymmetric beyond tolerance ({asym:.2e})")
-    S = (S + S.T) / 2.0
     effective_n = n if n is not None else declared_n
     if effective_n is None:
         raise InputError(f"{path}: sample size missing (no 'n:' header and no --n)")
@@ -120,7 +116,6 @@ def read_raw_data(path) -> SampleMoments:
     if constant:
         raise InputError(f"{path}: variable(s) {', '.join(constant)} have zero variance")
     R = np.corrcoef(data, rowvar=False)
-    R = (R + R.T) / 2.0
     try:
         return SampleMoments(R, n=data.shape[0], names=names)
     except Exception as exc:

@@ -3,16 +3,16 @@
 The central objects are :class:`LoadingPattern` (which loading cells are
 salient, free secondary, or fixed zero), :class:`FactorModel` (pattern plus
 factor-correlation and uniqueness specification), and the packing helpers
-that map free parameters to and from a flat vector.
+that map free parameters to and from a flat vector.  Other modules read
+cell roles only through a pattern's ``salient`` and ``free`` masks.
 
 A model is immutable, so its invariants are checked once, at construction
 (memoised on the salient cells and the correlation spec, which are all
 they read), and it compiles its layout once, on first use: the loading
 cells and correlation pairs of the packed vector as read-only index
-arrays.  Packing, unpacking and the gradient scatter are then single
-fancy-indexing operations over those arrays.  A :class:`StackedLayout`
-holds the arrays of same-sized models, found for the whole stack in one
-pass, so that a stack of them packs and unpacks in one operation.
+arrays.  A :class:`StackedLayout` holds the arrays of same-sized models,
+found for the whole stack in one pass; its ``pack`` (of parameters or of
+the gradient) and ``unpack`` are single fancy-indexing operations.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ class LoadingPattern:
 
     def salient_factor(self, var: int) -> int:
         """Index of the variable's unique salient factor."""
-        hits = [j for j in range(self.q) if self.cells[var, j] is CellRole.SALIENT_FREE]
-        if len(hits) != 1:
-            raise StructureError(f"variable {var} has {len(hits)} salient cells, expected 1")
-        return hits[0]
+        hits = np.flatnonzero(self.salient[var])
+        if hits.size != 1:
+            raise StructureError(f"variable {var} has {hits.size} salient cells, expected 1")
+        return int(hits[0])
 
     @cached_property
     def salient(self) -> np.ndarray:
@@ -103,24 +103,24 @@ class LoadingPattern:
         return _readonly(self.cells == CellRole.SALIENT_FREE)
 
     @cached_property
+    def free(self) -> np.ndarray:
+        """p x q mask of the estimable cells: salient or free secondary."""
+        return _readonly(self.cells != CellRole.FIXED_ZERO)
+
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Per factor, the variables whose salient loading sits on it."""
-        out: list[list[int]] = [[] for _ in range(self.q)]
         for i in range(self.p):
-            out[self.salient_factor(i)].append(i)
-        return tuple(tuple(b) for b in out)
+            self.salient_factor(i)  # raises unless the variable has one salient cell
+        return tuple(tuple(np.flatnonzero(column).tolist()) for column in self.salient.T)
 
     def with_nonsalient_free(self) -> "LoadingPattern":
         """Copy of the pattern with every FIXED_ZERO cell made estimable."""
-        cells = np.array(self.cells, dtype=object)
-        cells[cells == CellRole.FIXED_ZERO] = CellRole.NONSALIENT_FREE
-        return LoadingPattern(cells)
+        return LoadingPattern(np.where(self.salient, self.cells, CellRole.NONSALIENT_FREE))
 
     def with_nonsalient_zero(self) -> "LoadingPattern":
         """Copy of the pattern with every NONSALIENT_FREE cell fixed to zero."""
-        cells = np.array(self.cells, dtype=object)
-        cells[cells == CellRole.NONSALIENT_FREE] = CellRole.FIXED_ZERO
-        return LoadingPattern(cells)
+        return LoadingPattern(np.where(self.salient, self.cells, CellRole.FIXED_ZERO))
 
     def with_cells_freed(self, freed: Sequence[tuple[int, int]]) -> "LoadingPattern":
         """Copy with the given (variable, factor) zero cells made estimable."""
@@ -288,22 +288,24 @@ def _violations(shape: tuple[int, int], salient: bytes, phi_fixed: bytes) -> tup
 def implied_covariance(lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Model-implied covariance: loadings @ phi @ loadings' + diag(psi).
 
-    Symmetric by construction.  Raises :class:`StructureError` on shape
-    mismatch.
+    One Sigma per slice of stacked (..., p, q) loadings, (..., q, q) phi and
+    (..., p) psi.  Symmetric by construction; raises :class:`StructureError`
+    on shape mismatch.
     """
     lam = np.asarray(lam, dtype=float)
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if lam.ndim != 2:
+    if lam.ndim < 2:
         raise StructureError("loading matrix must be 2-D")
-    p, q = lam.shape
-    if phi.shape != (q, q):
+    *stack, p, q = lam.shape
+    if phi.shape != (*stack, q, q):
         raise StructureError(f"phi shape {phi.shape} does not match q={q}")
-    if psi.shape != (p,):
+    if psi.shape != (*stack, p):
         raise StructureError(f"psi shape {psi.shape} does not match p={p}")
-    common = lam @ phi @ lam.T
-    sigma = (common + common.T) / 2.0
-    sigma[np.diag_indices(p)] += psi
+    common = lam @ phi @ np.swapaxes(lam, -1, -2)
+    sigma = (common + np.swapaxes(common, -1, -2)) / 2.0
+    diag = np.arange(p)
+    sigma[..., diag, diag] += psi
     return sigma
 
 
@@ -367,7 +369,7 @@ class StackedLayout(NamedTuple):
         if len({(model.p, model.q) for model in models}) > 1:
             raise StructureError("models stacked together must have one size")
         k, q = len(models), models[0].q
-        free = np.array([model.pattern.cells for model in models]) != CellRole.FIXED_ZERO
+        free = np.array([model.pattern.free for model in models])
         phi = np.array([model.phi_fixed for model in models])
         pairs = np.isnan(phi) & np.tri(q, k=-1, dtype=bool)
         counts = free.sum(axis=(1, 2)), pairs.sum(axis=(1, 2))
@@ -410,15 +412,15 @@ class StackedLayout(NamedTuple):
 
         A single matrix or vector in place of a stack is every row's.
         """
-        k = len(self.loading_rows)
-        stack = np.arange(k)[:, None]
-        lam = np.broadcast_to(lam, (k, *lam.shape[-2:]))
-        phi = np.broadcast_to(phi, (k, *phi.shape[-2:]))
-        return np.hstack([
-            lam[stack, self.loading_rows, self.loading_cols],
-            phi[stack, self.phi_rows, self.phi_cols],
-            np.broadcast_to(psi, (k, psi.shape[-1])),
-        ])
+        # Packs every gradient, so only a single psi is broadcast (np.broadcast_to is slow).
+        stack = np.arange(len(self.loading_rows))[:, None]
+        cells = self.loading_rows, self.loading_cols
+        pairs = self.phi_rows, self.phi_cols
+        return np.concatenate([
+            lam[(stack, *cells)] if lam.ndim == 3 else lam[cells],
+            phi[(stack, *pairs)] if phi.ndim == 3 else phi[pairs],
+            psi if psi.ndim == 2 else np.broadcast_to(psi, (len(stack), psi.size)),
+        ], axis=1)
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacks of lambda, phi and psi from packed rows, as :func:`unpack` row by row."""

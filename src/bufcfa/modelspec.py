@@ -82,6 +82,19 @@ def _parse_number(text: str):
         return None
 
 
+def _key_values(text: str, diagnostics: list[str]):
+    """``(lineno, key, value)`` per ``key: value`` line; a line with no colon adds a diagnostic."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            diagnostics.append(f"line {lineno}: expected 'key: value', got {line!r}")
+            continue
+        key, _, value = line.partition(":")
+        yield lineno, key.strip(), value.strip()
+
+
 def parse_model_spec(text: str) -> ModelSpecDocument:
     """Parse a model document; raises :class:`ParseError` with every
     diagnostic found, each carrying its line number."""
@@ -97,16 +110,7 @@ def parse_model_spec(text: str) -> ModelSpecDocument:
     def err(lineno, message):
         diagnostics.append(f"line {lineno}: {message}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            err(lineno, f"expected 'key: value', got {line!r}")
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_values(text, diagnostics):
         if key == "variables":
             if variables:
                 err(lineno, "duplicate 'variables' line")
@@ -282,16 +286,7 @@ def parse_grid_document(text: str) -> dict:
         "sample_sizes": int,
     }
     int_keys = ("factors", "per_factor", "replications", "master_seed")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            diagnostics.append(f"line {lineno}: expected 'key: value', got {line!r}")
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_values(text, diagnostics):
         try:
             if key in list_keys:
                 values[key] = tuple(list_keys[key](x) for x in value.split())

@@ -20,7 +20,7 @@ from .constraints import (
 from .errors import StructureError
 from .estimation import SampleMoments, fit, fit_each
 from .fit_indices import FitReport, build_report
-from .model import CellRole, FactorModel, LoadingPattern, Solution
+from .model import FactorModel, LoadingPattern, Solution
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,6 @@ class ProcedureTrace:
     @property
     def quality_index(self) -> float:
         return buffered_quality_index(self.final.solution.lambda_hat, self.pattern)
-
-
-def _salient_estimates(pattern: LoadingPattern, solution: Solution) -> np.ndarray:
-    return np.array(
-        [solution.lambda_hat[i, pattern.salient_factor(i)] for i in range(pattern.p)]
-    )
 
 
 def _phi_spec_model(pattern: LoadingPattern, phi_spec) -> FactorModel:
@@ -129,7 +123,8 @@ def multi_step(
         improper = phi_fix is None and np.max(np.abs(icm_solution.phi_hat)) > 1.0
         if not icm_solution.converged or improper:
             return ProcedureTrace("multi-step", free_pattern, tuple(steps), False)
-        weights = _salient_estimates(pattern, icm_solution)
+        # One salient cell per row, so the row-major gather is in variable order.
+        weights = icm_solution.lambda_hat[pattern.salient]
         if phi_fix is None:
             phi_fix = icm_solution.phi_hat
         start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
@@ -144,7 +139,7 @@ def multi_step(
     for round_no in range(2, max_rounds + 1):
         constraints = build_fixed_weight_constraints(free_pattern, weights)
         solution = fit(model, constraints, moments, start)
-        estimates = _salient_estimates(free_pattern, solution)
+        estimates = solution.lambda_hat[free_pattern.salient]
         gap = float(np.max(np.abs(estimates - weights)))
         steps.append(
             TraceStep(
@@ -198,12 +193,7 @@ def specification_search(
     if not icm_solution.converged:
         return ProcedureTrace("search", pattern, tuple(steps), False)
 
-    zero_cells = [
-        (i, j)
-        for i in range(pattern.p)
-        for j in range(pattern.q)
-        if pattern.cells[i, j] is CellRole.FIXED_ZERO
-    ]
+    zero_cells = np.argwhere(~pattern.free).tolist()
     icm_start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     scale = moments.n - 1
     refits = fit_each(

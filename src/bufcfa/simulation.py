@@ -21,7 +21,6 @@ from .errors import NumericalError, StructureError
 from .estimation import SampleMoments, fit
 from .fit_indices import degrees_of_freedom, rmsea
 from .model import (
-    CellRole,
     FactorModel,
     LoadingPattern,
     PopulationModel,
@@ -101,7 +100,6 @@ def draw_sample(
     rng = np.random.Generator(np.random.Philox(seed))
     data = rng.standard_normal((n, p)) @ L.T
     R = np.corrcoef(data, rowvar=False)
-    R = (R + R.T) / 2.0
     return data, SampleMoments(R, n=n)
 
 
@@ -290,7 +288,7 @@ def run_cell(grid: GridSpec, cell: tuple[float, float, float, int]) -> list[RepR
         )
         fits[label] = (model, cons, degrees_of_freedom(model, cons))
     loading_mask = np.ones_like(population.lam, dtype=bool)
-    salient_mask = icm_pattern.cells != CellRole.FIXED_ZERO
+    salient_mask = icm_pattern.salient
     phi_mask = np.tril(np.ones((q, q), dtype=bool), k=-1)
 
     records = []

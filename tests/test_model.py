@@ -65,6 +65,27 @@ class TestImpliedCovariance:
             implied_covariance(np.zeros((3, 2)), np.eye(3), np.ones(3))
         with pytest.raises(StructureError):
             implied_covariance(np.zeros((3, 2)), np.eye(2), np.ones(4))
+        lam = np.zeros((3, 6, 2))  # a stack of three
+        with pytest.raises(StructureError, match="phi shape"):
+            implied_covariance(lam, np.eye(2), np.ones((3, 6)))
+        with pytest.raises(StructureError, match="phi shape"):
+            implied_covariance(lam, np.ones((4, 2, 2)), np.ones((3, 6)))
+        with pytest.raises(StructureError, match="psi shape"):
+            implied_covariance(lam, np.ones((3, 2, 2)), np.ones(6))
+        with pytest.raises(StructureError, match="psi shape"):
+            implied_covariance(lam, np.ones((3, 2, 2)), np.ones((3, 5)))
+
+    def test_stack_slices_equal_single_calls(self):
+        rng = np.random.default_rng(3)
+        lam = rng.uniform(-0.7, 0.7, size=(2, 4, 6, 2))
+        phi = np.ones((2, 4, 2, 2))
+        phi[..., 0, 1] = phi[..., 1, 0] = rng.uniform(-0.5, 0.5, size=(2, 4))
+        psi = rng.uniform(0.2, 1.0, size=(2, 4, 6))
+        sigma = implied_covariance(lam, phi, psi)
+        assert sigma.shape == (2, 4, 6, 6)
+        for index in np.ndindex(2, 4):
+            single = implied_covariance(lam[index], phi[index], psi[index])
+            assert np.array_equal(sigma[index], single)
 
 
 class TestStandardizingUniqueness:
@@ -169,6 +190,34 @@ class TestLoadingPattern:
         free = icm_pattern.with_nonsalient_free()
         assert free.cells[0, 1] is CellRole.NONSALIENT_FREE
         assert free.cells[0, 0] is CellRole.SALIENT_FREE
+
+    @pytest.mark.parametrize(
+        "roles, count",
+        [
+            ((CellRole.FIXED_ZERO, CellRole.NONSALIENT_FREE), 0),
+            ((CellRole.SALIENT_FREE, CellRole.SALIENT_FREE), 2),
+        ],
+    )
+    def test_salient_count_other_than_one_rejected(self, roles, count):
+        cells = np.full((4, 2), CellRole.FIXED_ZERO, dtype=object)
+        cells[:2, 0] = cells[2:, 1] = CellRole.SALIENT_FREE
+        cells[2] = roles
+        pattern = LoadingPattern(cells)
+        message = f"variable 2 has {count} salient cells, expected 1"
+        with pytest.raises(StructureError, match=message):
+            pattern.salient_factor(2)
+        with pytest.raises(StructureError, match=message):
+            pattern.blocks
+        assert pattern.salient_factor(1) == 0 and pattern.salient_factor(3) == 1
+
+    def test_free_marks_salient_and_secondary_cells(self):
+        roles = list(CellRole)
+        cells = np.array([[roles[(i + j) % 3] for j in range(3)] for i in range(3)], dtype=object)
+        pattern = LoadingPattern(cells)
+        assert np.array_equal(pattern.free, cells != CellRole.FIXED_ZERO)
+        assert pattern.free.sum() == 6 and not pattern.free.flags.writeable
+        assert pattern.with_nonsalient_free().free.all()
+        assert np.array_equal(pattern.with_nonsalient_zero().free, pattern.salient)
 
     def test_with_cells_freed_rejects_nonzero_cell(self, icm_pattern):
         with pytest.raises(StructureError):
