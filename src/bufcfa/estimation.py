@@ -164,15 +164,16 @@ def _discrepancy(sigma: np.ndarray, S: np.ndarray, log_det_S=0.0):
 
 
 def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
-    """ML fit function; nonnegative, zero iff the matrices coincide."""
+    """ML fit function; nonnegative, zero iff the matrices coincide.
+
+    S is checked, symmetrised and factored by :class:`SampleMoments`.
+    """
     S = np.asarray(S, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if S.shape != sigma.shape:
         raise StructureError(f"shape mismatch: {S.shape} vs {sigma.shape}")
-    log_det_S = float(_cholesky(S[None])[0][0])
-    if not math.isfinite(log_det_S):
-        raise NumericalError("sample matrix is not positive definite")
-    f = float(_discrepancy(sigma[None], S, log_det_S)[0][0])
+    moments = SampleMoments(S)
+    f = float(_discrepancy(sigma[None], moments.S, moments.log_det)[0][0])
     if math.isnan(f):
         raise NumericalError("model-implied matrix is not positive definite")
     return f

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BufcfaError, InputError
 from .estimation import SampleMoments
 from .fit_indices import FitReport
 from .model import LoadingPattern, Solution
@@ -77,7 +77,7 @@ def read_correlation_matrix(path, n: Optional[int] = None) -> SampleMoments:
         raise InputError(f"{path}: sample size missing (no 'n:' header and no --n)")
     try:
         return SampleMoments(S, n=effective_n)
-    except Exception as exc:
+    except BufcfaError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -96,20 +96,13 @@ def read_raw_data(path) -> SampleMoments:
     if len(lines) < 2:
         raise InputError(f"{path}: need a header line plus data rows")
     names = tuple(_split_cells(lines[0]))
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = _split_cells(line)
-        if len(cells) != len(names):
-            raise InputError(
-                f"{path}:{lineno}: row has {len(cells)} values, expected {len(names)}"
-            )
-        try:
-            rows.append([float(x) for x in cells])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric data entry") from None
-        if not np.isfinite(rows[-1]).all():
-            raise InputError(f"{path}:{lineno}: non-finite data entry")
-    data = np.array(rows)
+    rows = [_split_cells(line) for line in lines[1:]]
+    try:
+        data = np.array(rows, dtype=float)  # converts each cell as float() does
+    except ValueError:  # a ragged or non-numeric row
+        data = None
+    if data is None or data.shape[1] != len(names) or not np.isfinite(data).all():
+        _raise_first_bad_row(path, rows, len(names))
     if data.shape[0] <= data.shape[1]:
         raise InputError(f"{path}: need more observations than variables")
     constant = [name for name, column in zip(names, data.T) if np.all(column == column[0])]
@@ -118,8 +111,21 @@ def read_raw_data(path) -> SampleMoments:
     R = np.corrcoef(data, rowvar=False)
     try:
         return SampleMoments(R, n=data.shape[0], names=names)
-    except Exception as exc:
+    except BufcfaError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _raise_first_bad_row(path: Path, rows: list[list[str]], width: int) -> None:
+    """Raise the error of the first row that is ragged, non-numeric or non-finite."""
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != width:
+            raise InputError(f"{path}:{lineno}: row has {len(cells)} values, expected {width}")
+        try:
+            values = [float(x) for x in cells]
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric data entry") from None
+        if not np.isfinite(values).all():
+            raise InputError(f"{path}:{lineno}: non-finite data entry")
 
 
 def write_raw_data(path, data: np.ndarray, names) -> None:

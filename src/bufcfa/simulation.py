@@ -14,7 +14,6 @@ from dataclasses import dataclass, make_dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .constraints import build_one_step_constraints
 from .errors import NumericalError, StructureError
@@ -124,6 +123,9 @@ def align_to_population(
     Factors are matched by maximal absolute column congruence (solved as an
     assignment problem), then flipped to positive congruence.
     """
+    # Imported here so that only simulate pays for scipy.optimize (~20 MB, ~0.3 s).
+    from scipy.optimize import linear_sum_assignment
+
     lam = np.asarray(lam, dtype=float)
     phi = np.asarray(phi, dtype=float)
     lam_pop = np.asarray(lam_pop, dtype=float)

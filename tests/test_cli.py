@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -409,3 +413,33 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--grid", str(grid), "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert "replications must be at least 1" in capsys.readouterr().err
+
+
+def test_only_simulate_loads_scipy_optimize(tmp_path, data_dir):
+    """A fresh process: fit leaves scipy.optimize unloaded, simulate loads it.
+
+    It runs outside this process, where the test oracle has already loaded
+    scipy.optimize.
+    """
+    grid = tmp_path / "one.grid"
+    grid.write_text(GRID_TEXT)
+    script = textwrap.dedent(f"""
+        import json, sys
+        import bufcfa, bufcfa.cli
+        fit = bufcfa.cli.main([
+            "fit", "--model", {str(data_dir / "multi_step.model")!r},
+            "--data", {str(data_dir / "population_corr.dat")!r},
+            "--out", {str(tmp_path / "fit.json")!r},
+        ])
+        after_fit = "scipy.optimize" in sys.modules
+        simulate = bufcfa.cli.main([
+            "simulate", "--grid", {str(grid)!r}, "--reps", "1",
+            "--out", {str(tmp_path / "sim.json")!r},
+        ])
+        print(json.dumps([fit, after_fit, simulate, "scipy.optimize" in sys.modules]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(data_dir.parent / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, False, 0, True]

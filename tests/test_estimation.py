@@ -107,6 +107,11 @@ class TestMlDiscrepancy:
         with pytest.raises(StructureError):
             ml_discrepancy(np.eye(2), np.eye(3))
 
+    def test_asymmetric_sample_rejected(self):
+        S = np.array([[1.0, 0.5], [0.5 + 1e-7, 1.0]])
+        with pytest.raises(StructureError, match="asymmetric"):
+            ml_discrepancy(S, np.eye(2))
+
 
 def finite_difference_gradient(model, theta, S, h=1e-6):
     def value(t):
@@ -194,7 +199,7 @@ class TestSampleMoments:
         assert moments.log_det == 2.0 * np.sum(np.log(np.diag(factor)))
 
     def test_fit_minimum_equals_public_discrepancy(self, population_moments, icm_pattern):
-        # fit reuses ln|S| from the moments; ml_discrepancy factors S itself.
+        # fit takes ln|S| from the moments passed in, ml_discrepancy from SampleMoments(S).
         solution = fit(FactorModel.free_phi(icm_pattern), None, population_moments)
         sigma = implied_covariance(solution.lambda_hat, solution.phi_hat, solution.psi_hat)
         assert solution.f_min == ml_discrepancy(population_moments.S, sigma)

@@ -110,6 +110,29 @@ class TestRawInput:
         with pytest.raises(InputError, match=r"nonfinite\.raw:3: non-finite data entry"):
             read_raw_data(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("3 x\n5\n", r":3: non-numeric data entry"),
+            ("5\n3 x\n", r":3: row has 1 values, expected 2"),
+            ("3 x\n5 inf\n", r":3: non-numeric data entry"),
+            ("5 inf\n3 x\n", r":3: non-finite data entry"),
+        ],
+        ids=["non-numeric first", "ragged first", "non-numeric then non-finite", "non-finite first"],
+    )
+    def test_first_bad_row_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "bad.raw"
+        path.write_text("a b\n1 2\n" + rows + "2 1\n7 5\n")
+        with pytest.raises(InputError, match=message):
+            read_raw_data(path)
+
+    def test_cells_convert_as_python_floats_do(self, tmp_path):
+        cells = ["1_0", "\u0663.\u0665", "+.5", "1.5E+3", "-2.", "4e-1"]
+        path = tmp_path / "forms.raw"
+        path.write_text("a b\n" + "".join(f"{c} {i}\n" for i, c in enumerate(cells)))
+        expected = np.corrcoef([[float(c), i] for i, c in enumerate(cells)], rowvar=False)
+        assert np.array_equal(read_raw_data(path).S, expected)
+
     def test_constant_column_rejected_by_name(self, tmp_path):
         path = tmp_path / "constant.raw"
         path.write_text("a b c\n1 0.1 5\n3 0.1 4\n5 0.1 9\n4 0.1 1\n")
@@ -175,3 +198,18 @@ def test_star_import_keeps_submodules_out():
     exec("import io\nfrom bufcfa import *", namespace)
     assert namespace["io"].StringIO().getvalue() == ""
     assert "fit" in namespace and "estimation" not in namespace
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_correlation_matrix, "n: 50\n1 0.2\n0.2 1\n"),
+    (read_raw_data, "a b\n1 2\n3 1\n5 7\n"),
+], ids=["correlation", "raw"])
+def test_readers_let_programming_errors_through(tmp_path, monkeypatch, reader, text):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr("bufcfa.io.SampleMoments", broken)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(TypeError, match="a bug"):
+        reader(path)
