@@ -10,7 +10,11 @@ threshold 10 with free phi and with phi fixed at .3.  Each (sample, procedure) g
 (``float.hex``), the iterations of every step, the convergence flag, and a
 SHA-256 over every step's F and estimates, the trace's balance quality
 index (``float.hex``), its final pattern's cell roles and, for the search,
-the MI table.
+the MI table.  One more line per sample fingerprints ``align_to_population``
+on the ICM and the one-step free-phi estimates against the population's
+loadings, once as fitted and once from a copy with its factors permuted
+by ``[2, 0, 1]`` and the first negated, so that non-identity assignments
+run on real estimates too.
 
 Two versions of the library give identical results on these samples
 exactly when the outputs are identical: point PYTHONPATH at each version's
@@ -25,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from bufcfa import (
+    align_to_population,
+    balanced_population,
     block_pattern,
     draw_sample,
     icm,
@@ -63,19 +69,46 @@ def fingerprint(trace) -> str:
     return digest.hexdigest()
 
 
+def _scrambled(lam, phi):
+    """The same solution with its factors reordered by [2, 0, 1] and the first negated."""
+    order = [2, 0, 1]
+    lam, phi = lam[:, order].copy(), phi[np.ix_(order, order)].copy()
+    lam[:, 0] *= -1.0
+    phi[0, :] *= -1.0
+    phi[:, 0] *= -1.0
+    phi[0, 0] = 1.0
+    return lam, phi
+
+
+def alignment_fingerprint(traces, lam_pop) -> str:
+    digest = hashlib.sha256()
+    for trace in traces:
+        solution = trace.final.solution
+        estimates = (solution.lambda_hat, solution.phi_hat)
+        for lam, phi in (estimates, _scrambled(*estimates)):
+            for array in align_to_population(lam, phi, lam_pop):
+                digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     population = read_correlation_matrix(DATA / "population_corr.dat").S
+    # The generator behind population_corr.dat.
+    lam_pop = balanced_population(3, 6, 0.6, 0.15, 0.3).lam
     pattern = block_pattern(3, 6, "zero")
     for s in range(SAMPLES):
         _, moments = draw_sample(population, 300, np.random.SeedSequence([777, s]))
+        traces = {}
         for name, run in PROCEDURES.items():
-            trace = run(pattern, moments)
+            trace = traces[name] = run(pattern, moments)
             iterations = ",".join(str(step.solution.n_iterations) for step in trace.steps)
             print(
                 f"{s} {name} {float(trace.final.solution.f_min).hex()} {iterations} "
                 f"{trace.converged} {fingerprint(trace)}",
                 flush=True,
             )
+        aligned = alignment_fingerprint((traces["icm"], traces["one-step-free"]), lam_pop)
+        print(f"{s} align {aligned}", flush=True)
 
 
 if __name__ == "__main__":

@@ -199,12 +199,23 @@ def _discrepancy_and_gradient(layout: StackedLayout, lam, phi, psi, S):
     return f, layout.pack(2.0 * (W @ lam_phi), 2.0 * phi_grad, W.diagonal(0, 1, 2))
 
 
+def _check_order(moments: SampleMoments, model: FactorModel) -> None:
+    if moments.p != model.p:
+        raise StructureError(
+            f"moment matrix order {moments.p} does not match model p={model.p}"
+        )
+
+
 def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the discrepancy w.r.t. the packed parameters."""
+    """Analytic gradient of the discrepancy w.r.t. the packed parameters.
+
+    S is checked and symmetrised by :class:`SampleMoments`, and its order
+    must be the model's p.
+    """
+    moments = SampleMoments(S)
+    _check_order(moments, model)
     lam, phi, psi = unpack(model, theta)
-    f, grad = _discrepancy_and_gradient(
-        model.layout, lam[None], phi[None], psi[None], np.asarray(S, dtype=float)
-    )
+    f, grad = _discrepancy_and_gradient(model.layout, lam[None], phi[None], psi[None], moments.S)
     if np.isnan(f[0]):
         raise NumericalError("model-implied matrix is not positive definite")
     return grad[0]
@@ -269,10 +280,7 @@ class _Fits:
         for model in models:
             if model.problems:
                 raise StructureError("invalid model: " + "; ".join(model.problems))
-            if moments.p != model.p:
-                raise StructureError(
-                    f"moment matrix order {moments.p} does not match model p={model.p}"
-                )
+            _check_order(moments, model)
         self.models, self.constraints, self.moments = models, constraints, moments
         self.layout = models[0].layout if len(models) == 1 else StackedLayout.of(models)
         model = models[0]

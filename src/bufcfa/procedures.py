@@ -77,7 +77,12 @@ def one_step(pattern: LoadingPattern, phi_spec, moments: SampleMoments) -> Proce
 
     Every fixed-zero secondary cell of the pattern is freed; ``phi_spec``
     is ``"free"`` or a fixed value/matrix for the inter-factor
-    correlations.
+    correlations.  With free correlations this is the exploratory ML
+    model with q factors: the q unit variances and q(q - 1) balance
+    constraints are the q^2 restrictions a rotation of the unrestricted
+    solution takes (Joreskog 1969), so F and df equal the EFA's and the
+    constraints choose only the rotation.  Fixed correlations add
+    q(q - 1)/2 restrictions.
     """
     free_pattern = pattern.with_nonsalient_free()
     model = _phi_spec_model(free_pattern, phi_spec)

@@ -10,6 +10,7 @@ replication), which makes grid results independent of execution order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, make_dataclass
 from typing import Optional
 
@@ -115,17 +116,58 @@ def rmsd(estimated: np.ndarray, population: np.ndarray, mask: np.ndarray) -> flo
     return float(np.sqrt(np.mean(diff**2)))
 
 
+def _assignment(cost: np.ndarray) -> list[int]:
+    """The row of each column in a minimum-cost assignment of a square matrix.
+
+    The Hungarian method with row and column potentials (Kuhn 1955, *Naval
+    Research Logistics Quarterly* 2, 83-97), O(q^3).  Rows enter one at a
+    time along a least-reduced-cost augmenting path; on ties the lowest
+    column wins, so a matrix whose assignments all cost the same gets the
+    identity.
+    """
+    cost = np.asarray(cost, dtype=float).tolist()
+    q = len(cost)
+    # Rows are 1-based; column 0 is a dummy, and owner[j] is the row holding column j.
+    u, v = [0.0] * (q + 1), [0.0] * (q + 1)
+    owner, via = [0] * (q + 1), [0] * (q + 1)
+    for row in range(1, q + 1):
+        owner[0], j0 = row, 0
+        slack, used = [math.inf] * (q + 1), [False] * (q + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            delta, j1 = math.inf, 0
+            for j in range(1, q + 1):
+                if not used[j]:
+                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(q + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[via[j0]]
+            j0 = via[j0]
+    return [row - 1 for row in owner[1:]]
+
+
 def align_to_population(
     lam: np.ndarray, phi: np.ndarray, lam_pop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Permute and sign-flip estimated factors to best match the population.
 
-    Factors are matched by maximal absolute column congruence (solved as an
-    assignment problem), then flipped to positive congruence.
+    Factors are matched by maximal total absolute column congruence, an
+    assignment problem solved exactly by ``_assignment`` (the Hungarian
+    method), then flipped to positive congruence.  Where two orders tie
+    exactly, the pick may differ from ``scipy.optimize.linear_sum_assignment``'s,
+    but is just as optimal.
     """
-    # Imported here so that only simulate pays for scipy.optimize (~20 MB, ~0.3 s).
-    from scipy.optimize import linear_sum_assignment
-
     lam = np.asarray(lam, dtype=float)
     phi = np.asarray(phi, dtype=float)
     lam_pop = np.asarray(lam_pop, dtype=float)
@@ -134,9 +176,7 @@ def align_to_population(
     congruence = (lam.T @ lam_pop) / np.outer(
         np.maximum(norms_e, 1e-12), np.maximum(norms_p, 1e-12)
     )
-    rows, cols = linear_sum_assignment(-np.abs(congruence))
-    order = np.empty(lam.shape[1], dtype=int)
-    order[cols] = rows
+    order = _assignment(-np.abs(congruence))
     aligned = lam[:, order].copy()
     phi_aligned = phi[np.ix_(order, order)].copy()
     for j in range(lam.shape[1]):

@@ -415,10 +415,10 @@ class TestSimulateCommand:
         assert "replications must be at least 1" in capsys.readouterr().err
 
 
-def test_only_simulate_loads_scipy_optimize(tmp_path, data_dir):
-    """A fresh process: fit leaves scipy.optimize unloaded, simulate loads it.
+def test_no_command_loads_scipy_optimize(tmp_path, data_dir):
+    """A fresh process: scipy.optimize stays unloaded after fit and after simulate.
 
-    It runs outside this process, where the test oracle has already loaded
+    It runs outside this process, where the test oracles have already loaded
     scipy.optimize.
     """
     grid = tmp_path / "one.grid"
@@ -442,4 +442,4 @@ def test_only_simulate_loads_scipy_optimize(tmp_path, data_dir):
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(run.stdout.splitlines()[-1]) == [0, False, 0, True]
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, False, 0, False]

@@ -169,6 +169,20 @@ class TestMlGradient:
         grad = ml_gradient(model, theta, np.eye(18))
         assert grad.shape == (39,)
 
+    def test_wrong_order_rejected(self, population, free_pattern):
+        model = FactorModel.free_phi(free_pattern)
+        theta = pack(model, population.lam, population.phi, population.psi)
+        with pytest.raises(StructureError, match="moment matrix order 3 does not match model p=18"):
+            ml_gradient(model, theta, np.eye(3))
+
+    def test_asymmetric_sample_rejected(self, population, free_pattern):
+        model = FactorModel.free_phi(free_pattern)
+        theta = pack(model, population.lam, population.phi, population.psi)
+        S = population.sigma.copy()
+        S[0, 1] += 1e-3
+        with pytest.raises(StructureError, match="asymmetric"):
+            ml_gradient(model, theta, S)
+
 
 class TestSampleMoments:
     def test_symmetrizes_roundoff(self):

@@ -7,8 +7,10 @@ import bufcfa.procedures as procedures
 from bufcfa.errors import StructureError
 from bufcfa.estimation import SampleMoments
 from bufcfa.model import CellRole, LoadingPattern
+from bufcfa.modelspec import parse_model_spec
 from bufcfa.procedures import icm, multi_step, one_step, specification_search
-from bufcfa.simulation import balanced_population, block_pattern
+from bufcfa.simulation import balanced_population, block_pattern, draw_sample
+from efa_oracle import efa_optimum
 
 # Exact one-cell refits give modification indices near 8 on this population
 # at n = 500 (score-test approximations run higher); the search threshold in
@@ -69,6 +71,37 @@ class TestOneStep:
     def test_quality_index_of_balanced_solution(self, population_moments, icm_pattern):
         trace = one_step(icm_pattern, "free", population_moments)
         assert trace.quality_index < 1e-6
+
+
+class TestOneStepIsExploratory:
+    """With free phi, one-step fits the unrestricted q-factor (EFA) model.
+
+    The q unit variances and q(q - 1) balance constraints are the q^2
+    restrictions a rotation needs, so F and df equal the EFA's and only
+    the common part Lambda Phi Lambda' is comparable (``tests/efa_oracle.py``).
+    """
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        pop = balanced_population(3, 6, 0.6, 0.2, 0.3)
+        return [draw_sample(pop.sigma, 300, np.random.SeedSequence([777, s]))[1] for s in range(4)]
+
+    def test_matches_efa_oracle(self, data_dir, samples):
+        doc = parse_model_spec((data_dir / "one_step.model").read_text())
+        assert doc.procedure == "one-step" and doc.phi_value() == "free"
+        q = len(doc.factors)
+        for moments in samples:
+            trace = one_step(doc.pattern("zero"), doc.phi_value(), moments)
+            oracle = efa_optimum(moments.S, q)
+            assert trace.converged
+            assert oracle.gradient_norm < 1e-6
+            solution = trace.final.solution
+            assert solution.f_min == pytest.approx(oracle.f_min, abs=1e-8)
+            assert trace.final.report.df == oracle.df == 102
+            common = solution.lambda_hat @ solution.phi_hat @ solution.lambda_hat.T
+            assert np.max(np.abs(common - oracle.lambda_hat @ oracle.lambda_hat.T)) < 1e-5
+            fixed = one_step(doc.pattern("zero"), 0.3, moments)
+            assert fixed.final.report.df == oracle.df + q * (q - 1) // 2 == 105
 
 
 class TestMultiStep:

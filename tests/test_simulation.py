@@ -3,9 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from bufcfa.errors import InvalidPopulationError, StructureError
+from bufcfa.procedures import icm, one_step
 from bufcfa.simulation import (
     GridSpec,
+    _assignment,
     align_to_population,
     balanced_population,
     block_pattern,
@@ -137,6 +141,49 @@ class TestAlignment:
         lam_a, phi_a = align_to_population(lam, phi, population.lam)
         assert np.allclose(lam_a, population.lam, atol=1e-12)
         assert np.allclose(phi_a, population.phi, atol=1e-12)
+
+    @pytest.mark.parametrize("procedure", [icm, one_step])
+    def test_scrambled_estimates_align_bit_for_bit(self, procedure, population, icm_pattern):
+        """Reordering by [2, 0, 1] and negating a factor is exact, so its alignment is too."""
+        perm = [2, 0, 1]
+        for seed in range(3):
+            _, moments = draw_sample(population.sigma, 300, np.random.SeedSequence([777, seed]))
+            solution = procedure(icm_pattern, "free", moments).final.solution
+            lam = solution.lambda_hat[:, perm].copy()
+            phi = solution.phi_hat[np.ix_(perm, perm)].copy()
+            lam[:, 0] *= -1.0
+            phi[0, :] *= -1.0
+            phi[:, 0] *= -1.0
+            phi[0, 0] = 1.0
+            expected = align_to_population(solution.lambda_hat, solution.phi_hat, population.lam)
+            got = align_to_population(lam, phi, population.lam)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
+
+
+class TestAssignment:
+    """``_assignment`` (the row of each column) against scipy's ``linear_sum_assignment``."""
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_continuous_costs_match_scipy(self, q):
+        rng = np.random.default_rng(q)
+        for cost in rng.standard_normal((2000, q, q)):
+            assert _assignment(cost) == np.argsort(linear_sum_assignment(cost)[1]).tolist()
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_tied_costs_reach_scipy_total(self, q):
+        rng = np.random.default_rng(100 + q)
+        index = np.arange(q)
+        for cost in np.round(rng.uniform(-1.0, 1.0, (2000, q, q)), 1):
+            ours = cost[_assignment(cost), index].sum()
+            theirs = cost[index, linear_sum_assignment(cost)[1]].sum()
+            assert ours == pytest.approx(theirs, abs=1e-12)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_uniform_costs_give_identity(self, q):
+        for value in (0.0, 1.0, -0.3):
+            assert _assignment(np.full((q, q), value)) == list(range(q))
+        assert _assignment(-np.eye(q)) == list(range(q))
 
 
 class TestGrid:
