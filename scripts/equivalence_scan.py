@@ -9,12 +9,12 @@ one-step with phi .3, multi-step, and the specification search at
 threshold 10 with free phi and with phi fixed at .3.  Each (sample, procedure) gives one line: the final F
 (``float.hex``), the iterations of every step, the convergence flag, and a
 SHA-256 over every step's F and estimates, the trace's balance quality
-index (``float.hex``), its final pattern's cell roles and, for the search,
-the MI table.  One more line per sample fingerprints ``align_to_population``
-on the ICM and the one-step free-phi estimates against the population's
-loadings, once as fitted and once from a copy with its factors permuted
-by ``[2, 0, 1]`` and the first negated, so that non-identity assignments
-run on real estimates too.
+index (``float.hex``), its final pattern's cell roles (the result JSON's
+strings) and, for the search, the MI table.  One more line per sample
+fingerprints ``align_to_population`` on the ICM and the one-step free-phi
+estimates against the population's loadings, once as fitted and once from
+a copy with its factors permuted by ``[2, 0, 1]`` and the first negated,
+so that non-identity assignments run on real estimates too.
 
 Two versions of the library give identical results on these samples
 exactly when the outputs are identical: point PYTHONPATH at each version's
@@ -39,6 +39,7 @@ from bufcfa import (
     read_correlation_matrix,
     specification_search,
 )
+from bufcfa.io import trace_to_dict
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SAMPLES = 100
@@ -63,7 +64,8 @@ def fingerprint(trace) -> str:
         for array in (solution.lambda_hat, solution.phi_hat, solution.psi_hat):
             digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
     digest.update(float(trace.quality_index).hex().encode())
-    digest.update(" ".join(cell.value for cell in trace.pattern.cells.flat).encode())
+    roles = trace_to_dict(trace)["pattern"]["cells"]
+    digest.update(" ".join(role for row in roles for role in row).encode())
     for i, j, mi in trace.mi_table or ():
         digest.update(f"{i},{j},{float(mi).hex()};".encode())
     return digest.hexdigest()

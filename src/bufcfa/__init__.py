@@ -32,7 +32,6 @@ from .fit_indices import (
     srmr,
 )
 from .model import (
-    CellRole,
     FactorModel,
     LoadingPattern,
     PopulationModel,

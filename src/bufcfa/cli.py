@@ -96,7 +96,7 @@ def _print_trace_summary(doc: ModelSpecDocument, trace: ProcedureTrace) -> None:
 
 
 def _run_document(doc: ModelSpecDocument, moments) -> ProcedureTrace:
-    pattern = doc.pattern("zero")
+    pattern = doc.pattern()
     if doc.weights is not None and doc.procedure != "multi-step":
         raise InputError("external weights are only used by the multi-step procedure")
     if doc.procedure == "icm":
@@ -182,9 +182,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_quality(args) -> int:
     doc = read_result(args.result)
-    if doc.get("kind") != "procedure_trace":
+    if not isinstance(doc, dict) or doc.get("kind") != "procedure_trace":
         raise InputError(f"{args.result}: not a procedure result document")
-    print(f"{doc['quality_index']:.6f}")
+    quality = doc.get("quality_index")
+    if not isinstance(quality, (int, float)):
+        raise InputError(f"{args.result}: no numeric quality_index in the result document")
+    print(f"{quality:.6f}")
     return EXIT_OK
 
 

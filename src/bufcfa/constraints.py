@@ -1,12 +1,14 @@
 """Block-trace balance constraints on secondary loadings.
 
 Each constraint forces the weighted sum of one block's loadings on one
-unwanted factor to zero.  Two weighting modes exist:
+unwanted factor to zero.  Two weighting modes exist, and a set's mode is
+read off its constraints' weights:
 
-* FIXED_WEIGHTS — weights are stored constants (typically salient-loading
-  estimates from a prior model),
-* SELF_WEIGHTED — weights are ``1 + s**2`` over the block's own free salient
-  parameters, so a single constrained fit suffices.
+* FIXED_WEIGHTS — every constraint stores one weight per member (typically
+  salient-loading estimates from a prior model),
+* SELF_WEIGHTED — no constraint stores weights; they are ``1 + s**2`` over
+  the block's own free salient parameters, so a single constrained fit
+  suffices.
 
 Constraints are linear (fixed weights) or mildly nonlinear (self-weighted)
 in the free loadings; residuals are the plain weighted sums, whose zero set
@@ -50,14 +52,33 @@ class BalanceConstraint:
     members: tuple[int, ...]
     weights: Optional[tuple[float, ...]] = None
 
+    def __post_init__(self):
+        if self.weights is not None and len(self.weights) != len(self.members):
+            raise StructureError(
+                f"constraint (block {self.block}, unwanted factor {self.unwanted}) has "
+                f"{len(self.weights)} weights for {len(self.members)} members"
+            )
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    mode: ConstraintMode
+    """Balance constraints that are all fixed-weight or all self-weighted."""
+
     constraints: tuple[BalanceConstraint, ...]
+
+    def __post_init__(self):
+        if len({c.weights is None for c in self.constraints}) > 1:
+            raise StructureError("constraint set mixes fixed-weight and self-weighted constraints")
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    @property
+    def mode(self) -> ConstraintMode:
+        """SELF_WEIGHTED when the constraints store no weights, else FIXED_WEIGHTS."""
+        if self.constraints and self.constraints[0].weights is None:
+            return ConstraintMode.SELF_WEIGHTED
+        return ConstraintMode.FIXED_WEIGHTS
 
     @cached_property
     def flat(self) -> tuple[np.ndarray, ...]:
@@ -112,7 +133,7 @@ def build_fixed_weight_constraints(
                 f"all-zero weights for block {i}: constraints would be vacuous"
             )
         constraints.append(BalanceConstraint(i, j, tuple(members), block_w))
-    return ConstraintSet(ConstraintMode.FIXED_WEIGHTS, tuple(constraints))
+    return ConstraintSet(tuple(constraints))
 
 
 def build_one_step_constraints(pattern: LoadingPattern) -> ConstraintSet:
@@ -121,11 +142,9 @@ def build_one_step_constraints(pattern: LoadingPattern) -> ConstraintSet:
     The +1 keeps every weight above one, so the constraints cannot be
     satisfied by shrinking the salient loadings themselves.
     """
-    constraints = [
-        BalanceConstraint(i, j, tuple(members), None)
-        for i, j, members in _block_pairs(pattern)
-    ]
-    return ConstraintSet(ConstraintMode.SELF_WEIGHTED, tuple(constraints))
+    return ConstraintSet(
+        tuple(BalanceConstraint(i, j, tuple(members)) for i, j, members in _block_pairs(pattern))
+    )
 
 
 def swap_members(cset: ConstraintSet, swaps: Sequence[tuple[int, int]]) -> ConstraintSet:
@@ -143,7 +162,7 @@ def swap_members(cset: ConstraintSet, swaps: Sequence[tuple[int, int]]) -> Const
     for c in cset.constraints:
         members = tuple(perm.get(k, k) for k in c.members)
         new_constraints.append(BalanceConstraint(c.block, c.unwanted, members, c.weights))
-    return ConstraintSet(cset.mode, tuple(new_constraints))
+    return ConstraintSet(tuple(new_constraints))
 
 
 def evaluate_lambda(cset: ConstraintSet, lam: np.ndarray) -> np.ndarray:

@@ -159,11 +159,9 @@ def _report_dict(r: FitReport) -> dict:
 
 
 def _pattern_dict(pattern: LoadingPattern) -> dict:
-    return {
-        "p": pattern.p,
-        "q": pattern.q,
-        "cells": [[cell.value for cell in row] for row in pattern.cells],
-    }
+    """The pattern with each cell's role as a string: salient, nonsalient or zero."""
+    roles = np.where(pattern.salient, "salient", np.where(pattern.free, "nonsalient", "zero"))
+    return {"p": pattern.p, "q": pattern.q, "cells": roles.tolist()}
 
 
 def trace_to_dict(trace: ProcedureTrace) -> dict:

@@ -3,8 +3,9 @@
 The central objects are :class:`LoadingPattern` (which loading cells are
 salient, free secondary, or fixed zero), :class:`FactorModel` (pattern plus
 factor-correlation and uniqueness specification), and the packing helpers
-that map free parameters to and from a flat vector.  Other modules read
-cell roles only through a pattern's ``salient`` and ``free`` masks.
+that map free parameters to and from a flat vector.  A pattern is two
+read-only p x q masks: ``salient`` and ``free`` (the estimable cells,
+salient or secondary); a cell outside ``free`` is fixed at zero.
 
 A model is immutable, so its invariants are checked once, at construction
 (memoised on the salient cells and the correlation spec, which are all
@@ -18,9 +19,8 @@ the gradient) and ``unpack`` are single fancy-indexing operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, lru_cache
-from typing import ClassVar, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,44 +30,44 @@ from .errors import InvalidPopulationError, NumericalError, StructureError
 PSI_FLOOR = 1e-3
 
 
-class CellRole(Enum):
-    """Role of one loading-matrix cell in the hypothesis pattern."""
-
-    SALIENT_FREE = "salient"
-    NONSALIENT_FREE = "nonsalient"
-    FIXED_ZERO = "zero"
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
+def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
 
 @dataclass(frozen=True)
 class LoadingPattern:
-    """p x q grid of cell roles plus each variable's salient factor.
+    """p x q masks of the salient cells and of the estimable (``free``) cells.
 
-    Rows are observed variables, columns are factors.  Construction is
-    permissive; :func:`validate_model` reports invariant violations.
+    Rows are observed variables, columns are factors.  Every salient cell
+    is free; a free cell that is not salient is a free secondary loading,
+    and a cell outside ``free`` is fixed at zero.  Construction checks only
+    the shapes and that rule; :func:`validate_model` reports the invariants.
     """
 
-    cells: np.ndarray  # p x q array of CellRole
+    salient: np.ndarray  # p x q bool
+    free: np.ndarray  # p x q bool
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=object)
-        if cells.ndim != 2:
-            raise StructureError("pattern cells must be a 2-D grid")
-        object.__setattr__(self, "cells", cells)
-        cells.flags.writeable = False
+        salient, free = _readonly(self.salient, bool), _readonly(self.free, bool)
+        if salient.ndim != 2 or free.shape != salient.shape:
+            raise StructureError(
+                f"pattern masks must be 2-D and of one shape, got {salient.shape} and {free.shape}"
+            )
+        stray = np.argwhere(salient & ~free).tolist()
+        if stray:
+            raise StructureError(f"salient cell ({stray[0][0]}, {stray[0][1]}) is not free")
+        object.__setattr__(self, "salient", salient)
+        object.__setattr__(self, "free", free)
 
     @property
     def p(self) -> int:
-        return self.cells.shape[0]
+        return self.salient.shape[0]
 
     @property
     def q(self) -> int:
-        return self.cells.shape[1]
+        return self.salient.shape[1]
 
     @classmethod
     def from_salient_blocks(
@@ -80,15 +80,13 @@ class LoadingPattern:
         """
         if nonsalient not in ("zero", "free"):
             raise StructureError(f"nonsalient must be 'zero' or 'free', got {nonsalient!r}")
-        q = len(blocks)
-        off_role = CellRole.FIXED_ZERO if nonsalient == "zero" else CellRole.NONSALIENT_FREE
-        cells = np.full((p, q), off_role, dtype=object)
+        salient = np.zeros((p, len(blocks)), dtype=bool)
         for j, members in enumerate(blocks):
             for i in members:
                 if not 0 <= i < p:
                     raise StructureError(f"variable index {i} out of range for p={p}")
-                cells[i, j] = CellRole.SALIENT_FREE
-        return cls(cells)
+                salient[i, j] = True
+        return cls(salient, salient if nonsalient == "zero" else np.ones_like(salient))
 
     def salient_factor(self, var: int) -> int:
         """Index of the variable's unique salient factor."""
@@ -98,16 +96,6 @@ class LoadingPattern:
         return int(hits[0])
 
     @cached_property
-    def salient(self) -> np.ndarray:
-        """p x q mask of the salient cells."""
-        return _readonly(self.cells == CellRole.SALIENT_FREE)
-
-    @cached_property
-    def free(self) -> np.ndarray:
-        """p x q mask of the estimable cells: salient or free secondary."""
-        return _readonly(self.cells != CellRole.FIXED_ZERO)
-
-    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Per factor, the variables whose salient loading sits on it."""
         for i in range(self.p):
@@ -115,41 +103,23 @@ class LoadingPattern:
         return tuple(tuple(np.flatnonzero(column).tolist()) for column in self.salient.T)
 
     def with_nonsalient_free(self) -> "LoadingPattern":
-        """Copy of the pattern with every FIXED_ZERO cell made estimable."""
-        return LoadingPattern(np.where(self.salient, self.cells, CellRole.NONSALIENT_FREE))
+        """Copy of the pattern with every cell estimable."""
+        return LoadingPattern(self.salient, np.ones_like(self.free))
 
     def with_nonsalient_zero(self) -> "LoadingPattern":
-        """Copy of the pattern with every NONSALIENT_FREE cell fixed to zero."""
-        return LoadingPattern(np.where(self.salient, self.cells, CellRole.FIXED_ZERO))
+        """Copy of the pattern with every secondary cell fixed to zero."""
+        return LoadingPattern(self.salient, self.salient)
 
     def with_cells_freed(self, freed: Sequence[tuple[int, int]]) -> "LoadingPattern":
         """Copy with the given (variable, factor) zero cells made estimable."""
-        cells = np.array(self.cells, dtype=object)
+        free = np.array(self.free)
         for (i, j) in freed:
-            if cells[i, j] is not CellRole.FIXED_ZERO:
+            if not (0 <= i < self.p and 0 <= j < self.q):
+                raise StructureError(f"cell ({i}, {j}) is outside the {self.p} x {self.q} pattern")
+            if free[i, j]:
                 raise StructureError(f"cell ({i}, {j}) is not fixed to zero")
-            cells[i, j] = CellRole.NONSALIENT_FREE
-        return LoadingPattern(cells)
-
-    def violations(self) -> list[str]:
-        """All pattern-invariant violations, empty when the pattern is valid."""
-        return _salient_violations(self.salient)
-
-
-def _salient_violations(salient: np.ndarray) -> list[str]:
-    """The pattern invariants, which read only the p x q salient mask."""
-    problems = []
-    p, q = salient.shape
-    if not p >= q >= 2:
-        problems.append(f"requires p >= q >= 2, got p={p}, q={q}")
-    for i, n_sal in enumerate(salient.sum(axis=1)):
-        if n_sal == 0:
-            problems.append(f"variable {i} has no salient factor")
-        elif n_sal > 1:
-            problems.append(f"variable {i} has multiple salient factors")
-    for j in np.flatnonzero(~salient.any(axis=0)):
-        problems.append(f"factor {j} has no salient variable (empty factor)")
-    return problems
+            free[i, j] = True
+        return LoadingPattern(self.salient, free)
 
 
 PHI_FREE = "free"
@@ -168,7 +138,6 @@ class FactorModel:
 
     pattern: LoadingPattern
     phi_fixed: np.ndarray  # q x q, NaN = free entry, diagonal 1.0
-    psi_floor: ClassVar[float] = PSI_FLOOR
 
     def __post_init__(self):
         phi = np.asarray(self.phi_fixed, dtype=float)
@@ -211,43 +180,17 @@ class FactorModel:
         return self.pattern.q
 
     @cached_property
-    def loading_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the free loadings, in packed (row-major) order."""
-        return self.layout.loading_rows[0], self.layout.loading_cols[0]
-
-    @cached_property
-    def phi_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns (row > column) of the free correlations, in packed order."""
-        return self.layout.phi_rows[0], self.layout.phi_cols[0]
-
-    @cached_property
-    def phi_base(self) -> np.ndarray:
-        """The correlation matrix with every free entry at zero."""
-        return self.layout.phi_base[0]
-
-    @cached_property
     def loading_index(self) -> np.ndarray:
         """p x q positions of the loadings in the packed vector, -1 where fixed."""
+        cells = self.layout.loading_rows[0], self.layout.loading_cols[0]
         index = np.full((self.p, self.q), -1)
-        index[self.loading_cells] = np.arange(self.n_free_loadings)
+        index[cells] = np.arange(cells[0].size)
         return _readonly(index)
-
-    @cached_property
-    def n_free_loadings(self) -> int:
-        return self.loading_cells[0].size
-
-    @cached_property
-    def n_free_phi(self) -> int:
-        return self.phi_pairs[0].size
-
-    @cached_property
-    def psi_offset(self) -> int:
-        return self.layout.psi_offset
 
     @cached_property
     def n_parameters(self) -> int:
         """Free loadings + free correlations + p uniquenesses."""
-        return self.psi_offset + self.p
+        return self.layout.psi_offset + self.p
 
     @cached_property
     def layout(self) -> "StackedLayout":
@@ -268,8 +211,18 @@ def validate_model(model: FactorModel) -> list[str]:
 @lru_cache(maxsize=256)
 def _violations(shape: tuple[int, int], salient: bytes, phi_fixed: bytes) -> tuple[str, ...]:
     """:func:`validate_model`'s findings, from its inputs as bytes."""
-    q = shape[1]
-    problems = _salient_violations(np.frombuffer(salient, dtype=bool).reshape(shape))
+    problems = []
+    p, q = shape
+    if not p >= q >= 2:
+        problems.append(f"requires p >= q >= 2, got p={p}, q={q}")
+    mask = np.frombuffer(salient, dtype=bool).reshape(shape)
+    for i, n_sal in enumerate(mask.sum(axis=1)):
+        if n_sal == 0:
+            problems.append(f"variable {i} has no salient factor")
+        elif n_sal > 1:
+            problems.append(f"variable {i} has multiple salient factors")
+    for j in np.flatnonzero(~mask.any(axis=0)):
+        problems.append(f"factor {j} has no salient variable (empty factor)")
     phi = np.frombuffer(phi_fixed).reshape(q, q)
     fixed = ~np.isnan(phi)
     if not np.array_equal(fixed, fixed.T) or not np.allclose(
@@ -352,9 +305,9 @@ def unpack(model: FactorModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class StackedLayout(NamedTuple):
     """The packed layouts of a stack of same-sized models, one row per model.
 
-    Each model's free loading cells and free correlation pairs (as
-    :attr:`FactorModel.loading_cells` and :attr:`FactorModel.phi_pairs`),
-    and its correlation matrix with the free entries at zero.
+    Each model's free loading cells (row-major) and free correlation pairs
+    (row > column), in packed order, and its correlation matrix with the
+    free entries at zero.
     """
 
     loading_rows: np.ndarray
@@ -469,16 +422,13 @@ class PopulationModel:
     lam: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
         phi = np.asarray(self.phi, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
-        sigma = self.sigma
-        if sigma is None:
-            sigma = implied_covariance(lam, phi, psi)
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = implied_covariance(lam, phi, psi)
         if np.max(np.abs(np.diag(sigma) - 1.0)) >= 1e-12:
             raise InvalidPopulationError("population sigma diagonal is not 1")
         try:

@@ -44,12 +44,11 @@ class ModelSpecDocument:
     max_freed_per_factor: int = 3
     weights: Optional[dict[str, float]] = None
 
-    def pattern(self, nonsalient: str = "zero") -> LoadingPattern:
+    def pattern(self) -> LoadingPattern:
+        """The independent-clusters pattern: salient cells free, every other cell zero."""
         index = {v: i for i, v in enumerate(self.variables)}
-        blocks = [
-            [index[v] for v in self.salient[f]] for f in self.factors
-        ]
-        return LoadingPattern.from_salient_blocks(blocks, len(self.variables), nonsalient)
+        blocks = [[index[v] for v in self.salient[f]] for f in self.factors]
+        return LoadingPattern.from_salient_blocks(blocks, len(self.variables))
 
     def phi_value(self):
         """'free' if any pair is free, else the fixed q x q matrix."""

@@ -24,7 +24,7 @@ from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 from bufcfa.constraints import ConstraintMode, ConstraintSet
-from bufcfa.model import CellRole, FactorModel
+from bufcfa.model import PSI_FLOOR, FactorModel
 
 
 N_STARTS = 5
@@ -41,12 +41,7 @@ class EliminationOptimum:
 
 def _free_cells(model: FactorModel) -> list[tuple[int, int]]:
     """The model's estimable loading cells, read from its pattern."""
-    return [
-        (i, j)
-        for i in range(model.p)
-        for j in range(model.q)
-        if model.pattern.cells[i, j] is not CellRole.FIXED_ZERO
-    ]
+    return [(i, j) for i in range(model.p) for j in range(model.q) if model.pattern.free[i, j]]
 
 
 def _balance_matrix(model: FactorModel, cset: ConstraintSet) -> np.ndarray:
@@ -88,12 +83,12 @@ def elimination_optimum(model: FactorModel, cset: ConstraintSet, S: np.ndarray) 
     cells = _free_cells(model)
     rows = np.array([i for i, _ in cells])
     cols = np.array([j for _, j in cells])
-    salient = np.array([model.pattern.cells[i, j] is CellRole.SALIENT_FREE for i, j in cells])
+    salient = np.array([model.pattern.salient[i, j] for i, j in cells])
     A = _balance_matrix(model, cset)
     K = null_space(A)
     n_z = K.shape[1]
     phi = model.phi_fixed
-    floor = model.psi_floor
+    floor = PSI_FLOOR
 
     def unpack(x):
         lam = np.zeros((model.p, model.q))

@@ -39,7 +39,6 @@ from bufcfa.constraints import (
 from bufcfa.estimation import FEASIBILITY_TOL, SampleMoments, fit, ml_discrepancy, ml_gradient
 from bufcfa.fit_indices import degrees_of_freedom, rmsea, srmr
 from bufcfa.model import (
-    CellRole,
     FactorModel,
     LoadingPattern,
     implied_covariance,
@@ -116,7 +115,7 @@ def test_criterion_2_one_step_population_example(population, population_moments,
     secondary_ok = True
     for i in range(18):
         for j in range(3):
-            if icm_pattern.cells[i, j] is CellRole.SALIENT_FREE:
+            if icm_pattern.salient[i, j]:
                 salient_ok &= abs(lam[i, j] - 0.600) <= 0.01
             else:
                 target = np.sign(population.lam[i, j]) * 0.149
@@ -302,8 +301,8 @@ def test_criterion_8a_gradient_versus_finite_differences(population):
     for _ in range(100):
         theta = np.concatenate(
             [
-                rng.uniform(-0.6, 0.6, size=model.n_free_loadings),
-                rng.uniform(-0.2, 0.2, size=model.n_free_phi),
+                rng.uniform(-0.6, 0.6, size=model.layout.loading_rows.size),
+                rng.uniform(-0.2, 0.2, size=model.layout.phi_rows.size),
                 rng.uniform(0.4, 0.9, size=model.p),
             ]
         )

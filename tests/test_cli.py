@@ -241,6 +241,19 @@ class TestQualityCommand:
         path.write_text(json.dumps({"kind": "grid_summary"}))
         assert cli.main(["quality", "--result", str(path)]) == 1
 
+    def test_rejects_document_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"kind": "procedure_trace", "quality_index": 0.5}]))
+        assert cli.main(["quality", "--result", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_rejects_trace_without_quality_index(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"kind": "procedure_trace"}))
+        assert cli.main(["quality", "--result", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "quality_index" in err
+
 
 class TestSearchCommand:
     def test_search_on_population(self, tmp_path, data_dir, capsys):

@@ -26,19 +26,14 @@ from bufcfa.constraints import (
     swap_members,
 )
 from bufcfa.errors import StructureError
-from bufcfa.model import CellRole, FactorModel, StackedLayout, pack, unpack
+from bufcfa.model import FactorModel, StackedLayout, pack, unpack
 from bufcfa.simulation import block_pattern
 
 
 def ref_cells(model):
     """Free loading cells, row-major, and free correlation pairs, row > column."""
     p, q = model.p, model.q
-    cells = [
-        (i, j)
-        for i in range(p)
-        for j in range(q)
-        if model.pattern.cells[i, j] is not CellRole.FIXED_ZERO
-    ]
+    cells = [(i, j) for i in range(p) for j in range(q) if model.pattern.free[i, j]]
     pairs = [(i, j) for i in range(q) for j in range(i) if np.isnan(model.phi_fixed[i, j])]
     return cells, pairs
 
@@ -121,7 +116,7 @@ def compiled_cases(draw):
     memberships) with swapped members, and a random parameter vector."""
     q, per = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     pattern = block_pattern(q, per, "zero")
-    zero_cells = [tuple(c) for c in np.argwhere(pattern.cells == CellRole.FIXED_ZERO).tolist()]
+    zero_cells = [tuple(c) for c in np.argwhere(~pattern.free).tolist()]
     pattern = pattern.with_cells_freed(draw(st.lists(st.sampled_from(zero_cells), unique=True)))
     phi_spec = draw(st.sampled_from(["free", 0.3]))
     if phi_spec == "free":
@@ -139,7 +134,6 @@ def compiled_cases(draw):
         sizes = rng.integers(1, per + 2, size=len(pairs))
         members = [tuple(rng.choice(model.p, size=k, replace=False).tolist()) for k in sizes]
         cset = ConstraintSet(
-            ConstraintMode.FIXED_WEIGHTS if fixed else ConstraintMode.SELF_WEIGHTED,
             tuple(
                 BalanceConstraint(b, j, m, tuple(rng.choice(choices, len(m))) if fixed else None)
                 for (b, j), m in zip(pairs, members)
@@ -192,7 +186,6 @@ class TestAgainstLoopReferences:
 def test_constraint_without_members_has_no_pivot(members):
     model = FactorModel.free_phi(block_pattern(2, 2, "free"))
     cset = ConstraintSet(
-        ConstraintMode.SELF_WEIGHTED,
         (BalanceConstraint(0, 1, members[0]), BalanceConstraint(1, 0, members[1])),
     )
     with pytest.raises(StructureError, match="constraint 0 .* no free member"):
@@ -204,7 +197,7 @@ def test_stacked_layout_rows_are_each_models_layout(phi_spec):
     # A search's single-cell refits in one stack; fixed rows alternate
     # between two correlation values, so each row keeps its own phi.
     pattern = block_pattern(3, 6, "zero")
-    zero_cells = [tuple(c) for c in np.argwhere(pattern.cells == CellRole.FIXED_ZERO).tolist()]
+    zero_cells = [tuple(c) for c in np.argwhere(~pattern.free).tolist()]
     models = [
         FactorModel.free_phi(pattern.with_cells_freed([cell]))
         if phi_spec == "free"
@@ -226,7 +219,7 @@ def test_stacked_layout_rows_are_each_models_layout(phi_spec):
 def test_compiled_arrays_are_read_only(free_pattern):
     model = FactorModel.fixed_phi(free_pattern, 0.3)
     cset = build_fixed_weight_constraints(free_pattern, np.full(18, 0.6))
-    arrays = [*model.loading_cells, *model.phi_pairs, model.phi_base, model.loading_index]
+    arrays = [*model.layout, model.loading_index, model.pattern.salient, model.pattern.free]
     arrays += list(cset.flat)
     for array in arrays:
         assert not array.flags.writeable

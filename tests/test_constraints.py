@@ -77,6 +77,27 @@ class TestBuilders:
         assert all(c.weights is None for c in cset.constraints)
 
 
+class TestConstraintSetMode:
+    def test_weight_count_must_match_members(self):
+        with pytest.raises(StructureError, match="2 weights for 3 members"):
+            BalanceConstraint(0, 1, (0, 1, 2), (1.0, 2.0))
+        with pytest.raises(StructureError, match="3 weights for 2 members"):
+            BalanceConstraint(1, 0, (3, 4), (3.0, 4.0, 5.0))
+
+    def test_mixed_weighting_rejected(self):
+        weighted = BalanceConstraint(0, 1, (0, 1), (0.6, 0.6))
+        self_weighted = BalanceConstraint(1, 0, (2, 3))
+        for constraints in ((weighted, self_weighted), (self_weighted, weighted)):
+            with pytest.raises(StructureError, match="mixes"):
+                ConstraintSet(constraints)
+
+    def test_mode_follows_the_weights(self):
+        weighted = BalanceConstraint(0, 1, (0, 1), (0.6, 0.6))
+        self_weighted = BalanceConstraint(1, 0, (2, 3))
+        assert ConstraintSet((weighted,)).mode is ConstraintMode.FIXED_WEIGHTS
+        assert ConstraintSet((self_weighted,)).mode is ConstraintMode.SELF_WEIGHTED
+
+
 class TestEvaluation:
     def test_population_is_feasible_self_weighted(self, population, free_pattern):
         cset = build_one_step_constraints(free_pattern)
@@ -150,7 +171,7 @@ class TestJacobian:
         worst = 0.0
         for _ in range(100):
             theta = rng.uniform(-0.8, 0.8, size=model.n_parameters)
-            theta[model.psi_offset:] = rng.uniform(0.3, 0.9, size=model.p)
+            theta[model.layout.psi_offset:] = rng.uniform(0.3, 0.9, size=model.p)
             jac = constraint_jacobian(cset, theta, model)
             fd = finite_difference_jacobian(cset, theta, model)
             worst = max(worst, float(np.max(np.abs(jac - fd))))
@@ -205,7 +226,6 @@ class TestPivots:
         # the first and a self-weight of the second, and vice versa.
         model = FactorModel.free_phi(block_pattern(2, 2, "free"))
         cset = ConstraintSet(
-            ConstraintMode.SELF_WEIGHTED,
             (BalanceConstraint(0, 1, (0, 1)), BalanceConstraint(1, 0, (0, 2, 3))),
         )
         rows, cols = choose_pivots(cset, model).cells

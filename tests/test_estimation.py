@@ -6,7 +6,6 @@ import pytest
 
 from bufcfa.constraints import (
     BalanceConstraint,
-    ConstraintMode,
     ConstraintSet,
     build_fixed_weight_constraints,
     build_one_step_constraints,
@@ -19,7 +18,6 @@ from bufcfa.errors import NumericalError, StructureError
 from bufcfa.estimation import SampleMoments, fit, fit_each, ml_discrepancy, ml_gradient
 from bufcfa.model import (
     PSI_FLOOR,
-    CellRole,
     FactorModel,
     LoadingPattern,
     StackedLayout,
@@ -45,7 +43,6 @@ def swapped_setup(population_moments, icm_pattern, free_pattern):
 
 def reversed_members(cset):
     return ConstraintSet(
-        cset.mode,
         tuple(
             BalanceConstraint(
                 c.block, c.unwanted, c.members[::-1], c.weights and c.weights[::-1]
@@ -56,10 +53,7 @@ def reversed_members(cset):
 
 
 def two_var_model():
-    pattern = LoadingPattern(
-        np.array([[CellRole.SALIENT_FREE], [CellRole.SALIENT_FREE]], dtype=object)
-    )
-    return FactorModel.free_phi(pattern)
+    return FactorModel.free_phi(LoadingPattern(np.ones((2, 1)), np.ones((2, 1))))
 
 
 class TestMlDiscrepancy:
@@ -153,8 +147,8 @@ class TestMlGradient:
         for _ in range(5):
             theta = np.concatenate(
                 [
-                    rng.uniform(-0.6, 0.6, size=model.n_free_loadings),
-                    rng.uniform(-0.2, 0.2, size=model.n_free_phi),
+                    rng.uniform(-0.6, 0.6, size=model.layout.loading_rows.size),
+                    rng.uniform(-0.2, 0.2, size=model.layout.phi_rows.size),
                     rng.uniform(0.4, 0.9, size=model.p),
                 ]
             )
@@ -232,12 +226,7 @@ class TestFit:
     def test_fixed_zero_cells_exactly_zero(self, population_moments, icm_pattern):
         model = FactorModel.free_phi(icm_pattern)
         solution = fit(model, None, population_moments)
-        mask = np.array(
-            [
-                [icm_pattern.cells[i, j] is CellRole.FIXED_ZERO for j in range(3)]
-                for i in range(18)
-            ]
-        )
+        mask = ~icm_pattern.free
         assert np.all(solution.lambda_hat[mask] == 0.0)
 
     def test_fixed_phi_entries_exact(self, population_moments, free_pattern):
@@ -289,12 +278,12 @@ class TestFit:
     def test_uniqueness_floor_respected(self, population_moments, icm_pattern):
         model = FactorModel.free_phi(icm_pattern)
         solution = fit(model, None, population_moments)
-        assert np.all(solution.psi_hat > model.psi_floor)
+        assert np.all(solution.psi_hat > PSI_FLOOR)
 
     def test_invalid_model_rejected(self):
-        cells = np.full((4, 2), CellRole.FIXED_ZERO, dtype=object)
-        cells[:, 0] = CellRole.SALIENT_FREE
-        model = FactorModel.free_phi(LoadingPattern(cells))
+        salient = np.zeros((4, 2), dtype=bool)
+        salient[:, 0] = True
+        model = FactorModel.free_phi(LoadingPattern(salient, salient))
         with pytest.raises(StructureError, match="empty factor"):
             fit(model, None, SampleMoments(np.eye(4)))
 
@@ -338,7 +327,7 @@ class TestFit:
             return evaluate(model, lam, phi, psi, S)
 
         monkeypatch.setattr(estimation, "_discrepancy_and_gradient", record)
-        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.05, 0.0)
+        lam = np.where(icm_pattern.salient, 0.05, 0.0)
         start = lam, np.eye(3), np.full(18, 0.95)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -361,7 +350,6 @@ class TestFit:
             # same largest-|weight| member in either order; an exact tie
             # makes the reversal move every pivot.
             cset = ConstraintSet(
-                cset.mode,
                 tuple(
                     dataclasses.replace(c, weights=tuple(np.round(c.weights, 6)))
                     for c in cset.constraints
@@ -379,7 +367,6 @@ class TestFit:
         # Both constraints balance the same two cells, so neither has a cell
         # of its own to solve for.
         cset = ConstraintSet(
-            ConstraintMode.FIXED_WEIGHTS,
             (
                 BalanceConstraint(0, 1, (0, 1), (0.6, 0.6)),
                 BalanceConstraint(0, 1, (0, 1), (0.6, -0.6)),
@@ -442,11 +429,17 @@ def central_difference_hessian(gradient, x, h=1e-5):
     return (hessian + hessian.T) / 2.0
 
 
+def packed_cells(model):
+    """The model's free loading cells and free correlation pairs, in packed order."""
+    layout = model.layout
+    return (layout.loading_rows[0], layout.loading_cols[0]), (layout.phi_rows[0], layout.phi_cols[0])
+
+
 def random_loadings(pattern, rng):
     """Salients in [.5, .8] and secondaries in [-.2, .2] on the free cells."""
     lam = np.zeros((pattern.p, pattern.q))
-    lam[pattern.cells == CellRole.SALIENT_FREE] = rng.uniform(0.5, 0.8, size=pattern.p)
-    secondary = pattern.cells == CellRole.NONSALIENT_FREE
+    lam[pattern.salient] = rng.uniform(0.5, 0.8, size=pattern.p)
+    secondary = pattern.free & ~pattern.salient
     lam[secondary] = rng.uniform(-0.2, 0.2, size=int(secondary.sum()))
     return lam
 
@@ -468,9 +461,7 @@ class TestExpectedInformation:
         psi = rng.uniform(0.3, 0.6, size=model.p)
         S = implied_covariance(lam, phi, psi)
         theta = pack(model, lam, phi, psi)
-        info = estimation._expected_information(
-            model.loading_cells, model.phi_pairs, *unpack(model, theta)
-        )
+        info = estimation._expected_information(*packed_cells(model), *unpack(model, theta))
         hessian = central_difference_hessian(lambda t: ml_gradient(model, t, S), theta)
         assert info.shape == (model.n_parameters, model.n_parameters)
         assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
@@ -503,10 +494,10 @@ class TestExpectedInformation:
 
     def test_none_where_sigma_is_not_positive_definite(self, icm_pattern):
         model = FactorModel.free_phi(icm_pattern)
-        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
+        lam = np.where(icm_pattern.salient, 0.6, 0.0)
         phi = np.full((3, 3), 1.5)
         np.fill_diagonal(phi, 1.0)
-        cells, pairs = model.loading_cells, model.phi_pairs
+        cells, pairs = packed_cells(model)
         assert estimation._expected_information(cells, pairs, lam, phi, np.full(18, 0.01)) is None
 
     def test_batched_inverse_falls_back_slice_by_slice(self):
@@ -659,19 +650,19 @@ def single_cell_refits(pattern, phi_spec):
     make = FactorModel.free_phi if phi_spec == "free" else (
         lambda p: FactorModel.fixed_phi(p, phi_spec)
     )
-    zero_cells = zip(*np.nonzero(pattern.cells == CellRole.FIXED_ZERO))
+    zero_cells = zip(*np.nonzero(~pattern.free))
     return make(pattern), [make(pattern.with_cells_freed([cell])) for cell in zero_cells]
 
 
 def moved_membership_models(pattern):
     """Free-phi ICM models with one variable moved to another factor."""
     models = []
-    for v, f in zip(*np.nonzero(pattern.cells == CellRole.FIXED_ZERO)):
+    for v, f in zip(*np.nonzero(~pattern.free)):
         if v % 6 == 0:
-            cells = np.array(pattern.cells)
-            cells[v] = CellRole.FIXED_ZERO
-            cells[v, f] = CellRole.SALIENT_FREE
-            models.append(FactorModel.free_phi(LoadingPattern(cells)))
+            salient, free = np.array(pattern.salient), np.array(pattern.free)
+            salient[v] = free[v] = False
+            salient[v, f] = free[v, f] = True
+            models.append(FactorModel.free_phi(LoadingPattern(salient, free)))
     return models
 
 
@@ -681,7 +672,7 @@ def far_off_start(data_dir, pattern):
     and land on the non-PD path."""
     S = read_correlation_matrix(data_dir / "population_corr.dat").S
     _, moments = draw_sample(S, 60, np.random.SeedSequence([555, 26]))
-    lam = np.where(pattern.cells == CellRole.SALIENT_FREE, 0.05, 0.0)
+    lam = np.where(pattern.salient, 0.05, 0.0)
     models = [FactorModel.free_phi(pattern)] + moved_membership_models(pattern)
     return moments, (lam, np.eye(3), np.full(18, 0.95)), models
 
@@ -824,7 +815,7 @@ class TestFitEach:
             FactorModel.fixed_phi(icm_pattern, 0.3),
             FactorModel.fixed_phi(icm_pattern, uncorrelated),
         ]
-        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
+        lam = np.where(icm_pattern.salient, 0.6, 0.0)
         lam[:, 2] = 0.0
         start = lam, np.eye(3), np.full(18, 0.5)
         hess_inv0 = []
@@ -854,7 +845,7 @@ class TestFitEach:
         monkeypatch.setattr(estimation, "_bfgs", record)
         psi = np.full(18, 0.5)
         psi[[0, 7]] = 0.0, 1e-4
-        lam = np.where(icm_pattern.cells == CellRole.SALIENT_FREE, 0.6, 0.0)
+        lam = np.where(icm_pattern.salient, 0.6, 0.0)
         model = FactorModel.free_phi(icm_pattern)
         fit(model, None, population_moments, (lam, np.eye(3), psi))
         fit_each([model, model], population_moments, (lam, np.eye(3), psi))

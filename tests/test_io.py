@@ -13,7 +13,7 @@ from bufcfa.io import (
     write_raw_data,
     write_result,
 )
-from bufcfa.procedures import multi_step, one_step
+from bufcfa.procedures import icm, multi_step, one_step
 from bufcfa.simulation import CellSummary, GridSpec, draw_sample, run_grid
 
 
@@ -161,6 +161,15 @@ class TestResultDocuments:
         assert steps[0]["weights"] is None
         assert steps[1]["weights"] is not None
         assert steps[1]["weight_gap"] > steps[2]["weight_gap"]
+
+    def test_pattern_cells_are_role_strings(self, tmp_path, population_moments, icm_pattern):
+        mixed = icm_pattern.with_cells_freed([(0, 1), (17, 0)])
+        trace = dataclasses.replace(icm(icm_pattern, "free", population_moments), pattern=mixed)
+        path = tmp_path / "result.json"
+        write_result(trace, path)
+        expected = [["salient" if j == i // 6 else "zero" for j in range(3)] for i in range(18)]
+        expected[0][1] = expected[17][0] = "nonsalient"
+        assert read_result(path)["pattern"] == {"p": 18, "q": 3, "cells": expected}
 
     def test_grid_tables_written(self, tmp_path, data_dir):
         grid = GridSpec((0.6,), (0.0,), (0.0,), (300,), replications=2, master_seed=3)

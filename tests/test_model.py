@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from bufcfa.errors import InvalidPopulationError, StructureError
 from bufcfa.model import (
-    CellRole,
     FactorModel,
     LoadingPattern,
     PopulationModel,
@@ -104,9 +103,7 @@ class TestStandardizingUniqueness:
 
 class TestPacking:
     def test_counts_two_variable_one_factor(self):
-        pattern = LoadingPattern(
-            np.array([[CellRole.SALIENT_FREE], [CellRole.SALIENT_FREE]], dtype=object)
-        )
+        pattern = LoadingPattern(np.ones((2, 1)), np.ones((2, 1)))
         model = FactorModel.free_phi(pattern)
         assert model.n_parameters == 4  # 2 loadings + 2 uniquenesses
 
@@ -146,16 +143,16 @@ class TestValidateModel:
         assert validate_model(FactorModel.free_phi(icm_pattern)) == []
 
     def test_multiple_salient_flagged(self):
-        cells = np.full((4, 2), CellRole.FIXED_ZERO, dtype=object)
-        cells[:, 0] = CellRole.SALIENT_FREE
-        cells[0, 1] = CellRole.SALIENT_FREE
-        problems = validate_model(FactorModel.free_phi(LoadingPattern(cells)))
+        salient = np.zeros((4, 2), dtype=bool)
+        salient[:, 0] = True
+        salient[0, 1] = True
+        problems = validate_model(FactorModel.free_phi(LoadingPattern(salient, salient)))
         assert any("multiple salient" in p for p in problems)
 
     def test_empty_factor_flagged(self):
-        cells = np.full((4, 2), CellRole.FIXED_ZERO, dtype=object)
-        cells[:, 0] = CellRole.SALIENT_FREE
-        problems = validate_model(FactorModel.free_phi(LoadingPattern(cells)))
+        salient = np.zeros((4, 2), dtype=bool)
+        salient[:, 0] = True
+        problems = validate_model(FactorModel.free_phi(LoadingPattern(salient, salient)))
         assert any("empty factor" in p for p in problems)
 
     def test_asymmetric_phi_flagged(self, icm_pattern):
@@ -188,21 +185,23 @@ class TestLoadingPattern:
 
     def test_with_nonsalient_free(self, icm_pattern):
         free = icm_pattern.with_nonsalient_free()
-        assert free.cells[0, 1] is CellRole.NONSALIENT_FREE
-        assert free.cells[0, 0] is CellRole.SALIENT_FREE
+        assert free.free[0, 1] and not free.salient[0, 1]
+        assert free.salient[0, 0]
 
     @pytest.mark.parametrize(
         "roles, count",
         [
-            ((CellRole.FIXED_ZERO, CellRole.NONSALIENT_FREE), 0),
-            ((CellRole.SALIENT_FREE, CellRole.SALIENT_FREE), 2),
+            # Variable 2's (salient, free) rows: zero and free secondary, or two salient.
+            (((False, False), (False, True)), 0),
+            (((True, True), (True, True)), 2),
         ],
     )
     def test_salient_count_other_than_one_rejected(self, roles, count):
-        cells = np.full((4, 2), CellRole.FIXED_ZERO, dtype=object)
-        cells[:2, 0] = cells[2:, 1] = CellRole.SALIENT_FREE
-        cells[2] = roles
-        pattern = LoadingPattern(cells)
+        salient = np.zeros((4, 2), dtype=bool)
+        salient[:2, 0] = salient[2:, 1] = True
+        free = salient.copy()
+        salient[2], free[2] = roles
+        pattern = LoadingPattern(salient, free)
         message = f"variable 2 has {count} salient cells, expected 1"
         with pytest.raises(StructureError, match=message):
             pattern.salient_factor(2)
@@ -211,10 +210,9 @@ class TestLoadingPattern:
         assert pattern.salient_factor(1) == 0 and pattern.salient_factor(3) == 1
 
     def test_free_marks_salient_and_secondary_cells(self):
-        roles = list(CellRole)
-        cells = np.array([[roles[(i + j) % 3] for j in range(3)] for i in range(3)], dtype=object)
-        pattern = LoadingPattern(cells)
-        assert np.array_equal(pattern.free, cells != CellRole.FIXED_ZERO)
+        # Cell (i, j) is salient, free secondary or zero as (i + j) % 3 is 0, 1 or 2.
+        role = np.add.outer(np.arange(3), np.arange(3)) % 3
+        pattern = LoadingPattern(role == 0, role < 2)
         assert pattern.free.sum() == 6 and not pattern.free.flags.writeable
         assert pattern.with_nonsalient_free().free.all()
         assert np.array_equal(pattern.with_nonsalient_zero().free, pattern.salient)
@@ -223,8 +221,30 @@ class TestLoadingPattern:
         with pytest.raises(StructureError):
             icm_pattern.with_cells_freed([(0, 0)])
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (6, 0), (0, 2)])
+    def test_with_cells_freed_rejects_out_of_range_cell(self, cell):
+        with pytest.raises(StructureError, match="outside the 6 x 2 pattern"):
+            block_pattern(2, 3).with_cells_freed([cell])
+
+    @pytest.mark.parametrize(
+        "salient, free, message",
+        [
+            (np.ones(4), np.ones(4), "2-D"),
+            (np.eye(2), np.ones((3, 2)), "one shape"),
+            (np.eye(2), np.array([[1, 1], [1, 0]]), r"salient cell \(1, 1\) is not free"),
+        ],
+    )
+    def test_malformed_masks_rejected(self, salient, free, message):
+        with pytest.raises(StructureError, match=message):
+            LoadingPattern(salient, free)
+
+    def test_masks_are_read_only_copies(self):
+        salient = np.eye(2, dtype=bool)
+        pattern = LoadingPattern(salient, salient)
+        salient[0, 0] = False
+        assert pattern.salient[0, 0] and pattern.free[0, 0]
+        assert not pattern.salient.flags.writeable and not pattern.free.flags.writeable
+
     def test_q1_pattern_flagged_but_constructible(self):
-        pattern = LoadingPattern(
-            np.array([[CellRole.SALIENT_FREE], [CellRole.SALIENT_FREE]], dtype=object)
-        )
-        assert any("p >= q >= 2" in p for p in pattern.violations())
+        pattern = LoadingPattern(np.ones((2, 1)), np.ones((2, 1)))
+        assert any("p >= q >= 2" in p for p in validate_model(FactorModel.free_phi(pattern)))

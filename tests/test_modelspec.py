@@ -40,7 +40,7 @@ class TestParsing:
         assert doc.salient["F2"] == tuple(f"x{i}" for i in range(7, 13))
         assert doc.procedure == "one-step"
         assert doc.phi_value() == "free"
-        pattern = doc.pattern("zero")
+        pattern = doc.pattern()
         assert pattern.blocks[1] == tuple(range(6, 12))
 
     def test_fixed_phi_document(self):
@@ -200,7 +200,7 @@ class TestGrammar:
     def test_model_document(self, text):
         try:
             doc = parse_model_spec(text)
-            pattern = doc.pattern("zero")
+            pattern = doc.pattern()
             phi = doc.phi_value()
             if isinstance(phi, str):
                 model = FactorModel.free_phi(pattern)

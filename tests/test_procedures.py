@@ -6,7 +6,7 @@ import pytest
 import bufcfa.procedures as procedures
 from bufcfa.errors import StructureError
 from bufcfa.estimation import SampleMoments
-from bufcfa.model import CellRole, LoadingPattern
+from bufcfa.model import LoadingPattern
 from bufcfa.modelspec import parse_model_spec
 from bufcfa.procedures import icm, multi_step, one_step, specification_search
 from bufcfa.simulation import balanced_population, block_pattern, draw_sample
@@ -16,6 +16,10 @@ from efa_oracle import efa_optimum
 # at n = 500 (score-test approximations run higher); the search threshold in
 # these tests is scaled to the refit values.
 REFIT_MI_THRESHOLD = 5.0
+
+
+def same_pattern(a, b):
+    return np.array_equal(a.salient, b.salient) and np.array_equal(a.free, b.free)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +95,7 @@ class TestOneStepIsExploratory:
         assert doc.procedure == "one-step" and doc.phi_value() == "free"
         q = len(doc.factors)
         for moments in samples:
-            trace = one_step(doc.pattern("zero"), doc.phi_value(), moments)
+            trace = one_step(doc.pattern(), doc.phi_value(), moments)
             oracle = efa_optimum(moments.S, q)
             assert trace.converged
             assert oracle.gradient_norm < 1e-6
@@ -100,7 +104,7 @@ class TestOneStepIsExploratory:
             assert trace.final.report.df == oracle.df == 102
             common = solution.lambda_hat @ solution.phi_hat @ solution.lambda_hat.T
             assert np.max(np.abs(common - oracle.lambda_hat @ oracle.lambda_hat.T)) < 1e-5
-            fixed = one_step(doc.pattern("zero"), 0.3, moments)
+            fixed = one_step(doc.pattern(), 0.3, moments)
             assert fixed.final.report.df == oracle.df + q * (q - 1) // 2 == 105
 
 
@@ -212,11 +216,10 @@ class TestSpecificationSearch:
         freed_per_factor = {j: 0 for j in range(3)}
         for i in range(18):
             for j in range(3):
-                before = pattern.cells[i, j]
-                after = final_pattern.cells[i, j]
-                if before is CellRole.SALIENT_FREE:
-                    assert after is CellRole.SALIENT_FREE
-                elif before is CellRole.FIXED_ZERO and after is CellRole.NONSALIENT_FREE:
+                secondary = final_pattern.free[i, j] and not final_pattern.salient[i, j]
+                if pattern.salient[i, j]:
+                    assert final_pattern.salient[i, j]
+                elif not pattern.free[i, j] and secondary:
                     freed_per_factor[j] += 1
         assert all(v <= 3 for v in freed_per_factor.values())
         assert any(v > 0 for v in freed_per_factor.values())
@@ -228,7 +231,7 @@ class TestSpecificationSearch:
         )
         assert trace.converged
         assert max(mi for _, _, mi in trace.mi_table) < REFIT_MI_THRESHOLD
-        assert np.array_equal(trace.pattern.cells, icm_pattern.cells)
+        assert same_pattern(trace.pattern, icm_pattern)
         assert trace.final.solution is trace.steps[0].solution
 
     def test_zero_budget_is_noop(self, population, icm_pattern):
@@ -236,7 +239,7 @@ class TestSpecificationSearch:
         trace = specification_search(
             icm_pattern, moments, mi_threshold=0.0, max_freed_per_factor=0
         )
-        assert np.array_equal(trace.pattern.cells, icm_pattern.cells)
+        assert same_pattern(trace.pattern, icm_pattern)
 
     def test_negative_budget_rejected_before_any_fit(self, population, icm_pattern, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -304,7 +307,7 @@ class TestSpecificationSearch:
         pattern = block_pattern(3, 6, "zero")
         a = specification_search(pattern, moments, mi_threshold=REFIT_MI_THRESHOLD)
         b = specification_search(pattern, moments, mi_threshold=REFIT_MI_THRESHOLD)
-        assert np.array_equal(a.pattern.cells, b.pattern.cells)
+        assert same_pattern(a.pattern, b.pattern)
 
 
 class TestIcmProcedure:
@@ -335,7 +338,8 @@ class TestMetamorphic:
         rng = np.random.default_rng(41)
         rows = rng.permutation(18)
         cols = np.array([2, 0, 1])
-        permuted = LoadingPattern(icm_pattern.cells[np.ix_(rows, cols)])
+        cells = np.ix_(rows, cols)
+        permuted = LoadingPattern(icm_pattern.salient[cells], icm_pattern.free[cells])
         moments = SampleMoments(sample_moments.S[np.ix_(rows, rows)], n=sample_moments.n)
         a = procedure(icm_pattern, "free", sample_moments).final.solution
         b = procedure(permuted, "free", moments).final.solution
@@ -357,7 +361,7 @@ class TestMetamorphic:
         else:
             a = specification_search(icm_pattern, sample_moments, mi_threshold=REFIT_MI_THRESHOLD)
             b = specification_search(icm_pattern, rescaled, mi_threshold=REFIT_MI_THRESHOLD)
-            assert np.array_equal(a.pattern.cells, b.pattern.cells)
+            assert same_pattern(a.pattern, b.pattern)
             assert np.allclose([mi for *_, mi in b.mi_table], [mi for *_, mi in a.mi_table],
                                rtol=0, atol=1e-5)
         sa, sb = a.final.solution, b.final.solution
