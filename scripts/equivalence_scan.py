@@ -10,7 +10,12 @@ threshold 10 with free phi and with phi fixed at .3.  Each (sample, procedure) g
 (``float.hex``), the iterations of every step, the convergence flag, and a
 SHA-256 over every step's F and estimates, the trace's balance quality
 index (``float.hex``), its final pattern's cell roles (the result JSON's
-strings) and, for the search, the MI table.  One more line per sample
+strings) and, for the search, the MI table.  A search line then names its
+decisions in plain text: the freed cells (``freed=i,j;...`` or ``-``; the
+scan's pattern frees no secondary cell itself) and the final roles, one
+letter per cell (salient, nonsalient, zero) and one ``/``-separated group
+per variable.  So a diff tells a rounding change, where only the SHA
+moves, from a changed search decision.  One more line per sample
 fingerprints ``align_to_population`` on the ICM and the one-step free-phi
 estimates against the population's loadings, once as fitted and once from
 a copy with its factors permuted by ``[2, 0, 1]`` and the first negated,
@@ -71,6 +76,15 @@ def fingerprint(trace) -> str:
     return digest.hexdigest()
 
 
+def decisions(trace) -> str:
+    """The search's freed cells and final cell roles, in plain text."""
+    pattern = trace.pattern
+    freed = ";".join(f"{i},{j}" for i, j in np.argwhere(pattern.free & ~pattern.salient).tolist())
+    cells = trace_to_dict(trace)["pattern"]["cells"]
+    roles = "/".join("".join(role[0] for role in row) for row in cells)
+    return f" freed={freed or '-'} roles={roles}"
+
+
 def _scrambled(lam, phi):
     """The same solution with its factors reordered by [2, 0, 1] and the first negated."""
     order = [2, 0, 1]
@@ -106,7 +120,8 @@ def main() -> None:
             iterations = ",".join(str(step.solution.n_iterations) for step in trace.steps)
             print(
                 f"{s} {name} {float(trace.final.solution.f_min).hex()} {iterations} "
-                f"{trace.converged} {fingerprint(trace)}",
+                f"{trace.converged} {fingerprint(trace)}"
+                + (decisions(trace) if trace.procedure == "search" else ""),
                 flush=True,
             )
         aligned = alignment_fingerprint((traces["icm"], traces["one-step-free"]), lam_pop)

@@ -24,10 +24,10 @@ stack of one, driven through :func:`minimize`, the one-row adapter.  A
 slice goes through the same operations as a stack of one, so those fits
 are bit-identical to serial :func:`fit` calls.
 
-Every evaluation factors each Sigma once, with numpy's Cholesky and one
-p-wide triangular inversion (:func:`_cholesky_inverse`); the stacked
+Every evaluation factors each Sigma once with numpy's Cholesky and inverts
+it through the factor structure (:func:`_factor_inverse`); the stacked
 layout's ``pack`` gathers the gradient, and the constraint set's flat
-arrays do the rest, without Python loops over parameters.
+arrays do the rest, without Python loops over parameters or scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .constraints import (
     ConstraintMode,
@@ -95,7 +94,7 @@ class SampleMoments:
         if asym > 1e-8:
             raise StructureError(f"moment matrix asymmetric beyond tolerance ({asym:.2e})")
         S = (S + S.T) / 2.0
-        log_det = float(_cholesky(S[None])[0][0])
+        log_det = float(_cholesky(S[None])[0])
         if not math.isfinite(log_det):
             raise NumericalError("sample moment matrix is not positive definite")
         S.flags.writeable = False
@@ -114,11 +113,11 @@ class SampleMoments:
         return self.S.shape[0]
 
 
-def _cholesky(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln|M| and the lower Cholesky factor of each matrix in a stack.
+def _cholesky(matrices: np.ndarray) -> np.ndarray:
+    """ln|M| of each matrix in a stack, from its lower Cholesky factor.
 
     ln|M| is not finite where M is not finite and positive definite; a
-    matrix that did not factor gets NaN for both.
+    matrix that did not factor gets NaN.
     """
     try:
         factors = np.linalg.cholesky(matrices)
@@ -129,38 +128,47 @@ def _cholesky(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 factors[r] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 pass
-    return 2.0 * np.log(factors.diagonal(0, 1, 2)).sum(axis=1), factors
+    return 2.0 * np.log(factors.diagonal(0, 1, 2)).sum(axis=1)
 
 
-def _cholesky_inverse(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln|M| and M^-1 for each matrix in a stack, both NaN unless ln|M| is finite.
+def _factor_inverse(sigma, lam, phi, psi) -> tuple[np.ndarray, np.ndarray]:
+    """ln|Sigma| and Sigma^-1 of a stack of Sigma = Lambda Phi Lambda' + Psi, NaN unless PD.
 
-    One Cholesky factor and one triangular inversion each: every product
-    stays p-wide, since solves with many right-hand sides wake a second
-    BLAS thread that costs more than it saves at this size.
+    Only the Cholesky factor (:func:`_cholesky`) decides positive
+    definiteness and gives ln|Sigma|.  Sigma^-1 = Psi^-1 - A K A' (Woodbury)
+    with A = Psi^-1 Lambda and K = (I + Phi Lambda' A)^-1 Phi: one q x q
+    solve per slice, and no inverse of Phi, which may be singular or
+    indefinite where Sigma is PD.
     """
-    log_det, factors = _cholesky(matrices)
-    # Each inverted factor is stored transposed: that is the memory order
-    # LAPACK returns it in, so each slice's product is the same BLAS call.
-    inv_t = np.empty_like(matrices)
-    for r, value in enumerate(log_det.tolist()):
-        if math.isfinite(value):
-            inv_t[r] = dtrtri(factors[r], lower=1)[0].T
-        else:
-            log_det[r] = inv_t[r] = np.nan
-    return log_det, inv_t @ inv_t.transpose(0, 2, 1)
+    log_det = _cholesky(sigma)
+    bad = ~np.isfinite(log_det)
+    any_bad = bad.any()
+    # A trial step's psi = inf makes its rows of A and of Psi^-1 zero, not NaN.
+    A = lam / psi[:, :, None]
+    system = phi @ (lam.transpose(0, 2, 1) @ A)
+    _diagonal(system)[...] += 1.0
+    if any_bad:  # one singular slice would fail the whole stack's solve
+        system[bad] = np.eye(phi.shape[-1])
+    sig_inv = (A @ np.linalg.solve(system, -phi)) @ A.transpose(0, 2, 1)  # -A K A'
+    _diagonal(sig_inv)[...] += 1.0 / psi
+    if any_bad:
+        log_det[bad] = sig_inv[bad] = np.nan
+    return log_det, sig_inv
 
 
-def _discrepancy(sigma: np.ndarray, S: np.ndarray, log_det_S=0.0):
-    """F, Sigma^-1 and Sigma^-1 S for each implied matrix in a stack.
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Writable view of each slice's diagonal in a C-contiguous (k, n, n) stack."""
+    return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
-    F is NaN where Sigma is not positive definite.  The solver passes no
-    ``log_det_S``: ln|S| is constant in the parameters.
-    """
-    log_det, sig_inv = _cholesky_inverse(sigma)
-    sig_inv_S = sig_inv @ S
-    trace = sig_inv_S.trace(0, 1, 2)
-    return log_det - log_det_S + trace - S.shape[0], sig_inv, sig_inv_S
+
+def _discrepancy(sigma: np.ndarray, S: np.ndarray, log_det_S: float) -> np.ndarray:
+    """F of each arbitrary Sigma in a stack (ln|Sigma| from :func:`_cholesky`), NaN unless PD."""
+    log_det = _cholesky(sigma)
+    trace = np.full_like(log_det, np.nan)
+    ok = np.isfinite(log_det)
+    # S as a stack of one: numpy < 2 would read a 2-D right-hand side as vectors.
+    trace[ok] = np.linalg.solve(sigma[ok], S[None]).trace(0, 1, 2)
+    return log_det - log_det_S + trace - S.shape[0]
 
 
 def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
@@ -173,7 +181,7 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     if S.shape != sigma.shape:
         raise StructureError(f"shape mismatch: {S.shape} vs {sigma.shape}")
     moments = SampleMoments(S)
-    f = float(_discrepancy(sigma[None], moments.S, moments.log_det)[0][0])
+    f = float(_discrepancy(sigma[None], moments.S, moments.log_det)[0])
     if math.isnan(f):
         raise NumericalError("model-implied matrix is not positive definite")
     return f
@@ -189,14 +197,15 @@ def _discrepancy_and_gradient(layout: StackedLayout, lam, phi, psi, S):
     lam_phi = lam @ phi
     common = lam_phi @ lam.transpose(0, 2, 1)
     sigma = (common + common.transpose(0, 2, 1)) / 2.0
-    diag = np.arange(psi.shape[1])
-    sigma[:, diag, diag] += psi
-    f, sig_inv, sig_inv_S = _discrepancy(sigma, S)
-    # W = Sigma^-1 (Sigma - S) Sigma^-1, symmetric
-    W = sig_inv - sig_inv_S @ sig_inv
-    W = (W + W.transpose(0, 2, 1)) / 2.0
-    phi_grad = lam.transpose(0, 2, 1) @ W @ lam
-    return f, layout.pack(2.0 * (W @ lam_phi), 2.0 * phi_grad, W.diagonal(0, 1, 2))
+    _diagonal(sigma)[...] += psi
+    log_det, sig_inv = _factor_inverse(sigma, lam, phi, psi)
+    sig_inv_S = sig_inv @ S
+    f = log_det + sig_inv_S.trace(0, 1, 2) - S.shape[0]
+    # 2W with W = Sigma^-1 (Sigma - S) Sigma^-1, made symmetric; doubling is exact.
+    W2 = sig_inv - sig_inv_S @ sig_inv
+    W2 = W2 + W2.transpose(0, 2, 1)
+    phi_grad = lam.transpose(0, 2, 1) @ W2 @ lam
+    return f, layout.pack(W2 @ lam_phi, phi_grad, W2.diagonal(0, 1, 2) / 2.0)
 
 
 def _check_order(moments: SampleMoments, model: FactorModel) -> None:
@@ -210,11 +219,18 @@ def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndar
     """Analytic gradient of the discrepancy w.r.t. the packed parameters.
 
     S is checked and symmetrised by :class:`SampleMoments`, and its order
-    must be the model's p.
+    must be the model's p.  Every uniqueness must be at least
+    :data:`PSI_FLOOR`, the solver's bound: Sigma^-1 is formed through
+    Psi^-1 (:func:`_factor_inverse`), so a uniqueness of zero raises
+    NumericalError even where Sigma is positive definite.
     """
     moments = SampleMoments(S)
     _check_order(moments, model)
     lam, phi, psi = unpack(model, theta)
+    if not (psi >= PSI_FLOOR).all():
+        raise NumericalError(
+            f"uniqueness below the floor {PSI_FLOOR} (smallest {psi.min():.3g})"
+        )
     f, grad = _discrepancy_and_gradient(model.layout, lam[None], phi[None], psi[None], moments.S)
     if np.isnan(f[0]):
         raise NumericalError("model-implied matrix is not positive definite")
@@ -234,7 +250,8 @@ def _expected_information(cells, pairs, lam, phi, psi) -> Optional[np.ndarray]:
     makes ``H[a, b] = 2 (x_a'P x_b  y_a'P y_b + x_a'P y_b  y_a'P x_b)``.
     """
     p = lam.shape[0]
-    log_det, sig_inv = _cholesky_inverse(implied_covariance(lam, phi, psi)[None])
+    point = lam[None], phi[None], psi[None]
+    log_det, sig_inv = _factor_inverse(implied_covariance(*point), *point)
     if not math.isfinite(log_det[0]):
         return None
     sig_inv = sig_inv[0]
@@ -417,7 +434,7 @@ class _Fits:
         _, _, lam, phi, psi = self.points(range(len(results)), np.array(points))
         lam, phi = _align_signs(lam, phi, self.first_salient, self.flippable)
         sigma = implied_covariance(lam, phi, psi)
-        f_min = _discrepancy(sigma, self.moments.S, self.moments.log_det)[0]
+        f_min = _discrepancy(sigma, self.moments.S, self.moments.log_det)
         if np.isnan(f_min).any():
             raise NumericalError("model-implied matrix is not positive definite")
         f_min = f_min.tolist()
@@ -587,7 +604,7 @@ def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:
     The inverses are one batched ``inv``: each slice is the same LAPACK call
     as the inverse of that matrix alone.
     """
-    ok = np.isfinite(_cholesky(matrices)[0])
+    ok = np.isfinite(_cholesky(matrices))
     out: list[Optional[np.ndarray]] = [None] * len(matrices)
     if ok.any():
         inverse = np.linalg.inv(matrices[ok])

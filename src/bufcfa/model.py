@@ -36,7 +36,7 @@ def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadingPattern:
     """p x q masks of the salient cells and of the estimable (``free``) cells.
 
@@ -44,6 +44,7 @@ class LoadingPattern:
     is free; a free cell that is not salient is a free secondary loading,
     and a cell outside ``free`` is fixed at zero.  Construction checks only
     the shapes and that rule; :func:`validate_model` reports the invariants.
+    Patterns are equal when both masks are.
     """
 
     salient: np.ndarray  # p x q bool
@@ -60,6 +61,14 @@ class LoadingPattern:
             raise StructureError(f"salient cell ({stray[0][0]}, {stray[0][1]}) is not free")
         object.__setattr__(self, "salient", salient)
         object.__setattr__(self, "free", free)
+
+    def __eq__(self, other):
+        if not isinstance(other, LoadingPattern):
+            return NotImplemented
+        return np.array_equal(self.salient, other.salient) and np.array_equal(self.free, other.free)
+
+    def __hash__(self):
+        return hash((self.salient.shape, self.salient.tobytes(), self.free.tobytes()))
 
     @property
     def p(self) -> int:
@@ -125,7 +134,7 @@ class LoadingPattern:
 PHI_FREE = "free"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorModel:
     """Estimable model: loading pattern, factor correlations, uniquenesses.
 

@@ -34,7 +34,7 @@ class TraceStep:
     weight_gap: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcedureTrace:
     """Ordered record of every model a procedure estimated."""
 

@@ -456,3 +456,33 @@ def test_no_command_loads_scipy_optimize(tmp_path, data_dir):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(run.stdout.splitlines()[-1]) == [0, False, 0, False]
+
+
+def test_no_command_loads_scipy(tmp_path, data_dir):
+    """A fresh process: no scipy module is loaded after fit, search and simulate.
+
+    The library's runtime dependency is numpy alone; only the test oracles
+    import scipy, and they run in this process, not in that one.
+    """
+    grid = tmp_path / "one.grid"
+    grid.write_text(GRID_TEXT)
+    data = str(data_dir / "population_corr.dat")
+    commands = [
+        ["fit", "--model", str(data_dir / "multi_step.model"), "--data", data],
+        ["search", "--model", str(data_dir / "one_step.model"), "--data", data],
+        ["simulate", "--grid", str(grid), "--reps", "1"],
+    ]
+    script = textwrap.dedent(f"""
+        import json, sys
+        import bufcfa, bufcfa.cli
+        seen = []
+        for k, argv in enumerate({commands!r}):
+            code = bufcfa.cli.main(argv + ["--out", {str(tmp_path)!r} + f"/out{{k}}.json"])
+            seen.append([code, "scipy" in sys.modules])
+        print(json.dumps(seen))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(data_dir.parent / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, False]] * 3

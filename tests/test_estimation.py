@@ -177,6 +177,18 @@ class TestMlGradient:
         with pytest.raises(StructureError, match="asymmetric"):
             ml_gradient(model, theta, S)
 
+    @pytest.mark.parametrize("psi_0", [0.0, 1e-4])
+    def test_uniqueness_below_floor_rejected(self, population, free_pattern, psi_0):
+        model = FactorModel.free_phi(free_pattern)
+        psi = population.psi.copy()
+        psi[0] = psi_0
+        theta = pack(model, population.lam, population.phi, psi)
+        # Sigma stays positive definite; only the uniqueness is out of range.
+        sigma = implied_covariance(population.lam, population.phi, psi)
+        assert np.isfinite(ml_discrepancy(population.sigma, sigma))
+        with pytest.raises(NumericalError, match="uniqueness below the floor"):
+            ml_gradient(model, theta, population.sigma)
+
 
 class TestSampleMoments:
     def test_symmetrizes_roundoff(self):
@@ -334,7 +346,7 @@ class TestFit:
             solution = fit(FactorModel.free_phi(icm_pattern), None, moments, start)
         assert any(overflowed)
         assert solution.converged
-        assert solution.n_iterations == 129
+        assert solution.n_iterations == 131
         assert solution.f_min == pytest.approx(2.919804337600631, abs=1e-12)
 
     @pytest.mark.parametrize("case", ["one-step population", "criterion-4 swapped"])
@@ -442,6 +454,81 @@ def random_loadings(pattern, rng):
     secondary = pattern.free & ~pattern.salient
     lam[secondary] = rng.uniform(-0.2, 0.2, size=int(secondary.sum()))
     return lam
+
+
+def factor_inverse_case(case, rng):
+    """A (lambda, phi, psi) stack of 4 points of the ICM pattern, Sigma positive definite."""
+    salient = block_pattern(3, 6, "zero").salient
+    lam = np.where(salient, rng.uniform(0.3, 0.8, size=(4, 18, 3)), 0.0)
+    lam += rng.uniform(-0.2, 0.2, size=lam.shape) * ~salient
+    phi = np.stack([np.eye(3) + 0.3 * (1.0 - np.eye(3))] * 4)
+    psi = rng.uniform(0.2, 0.6, size=(4, 18))
+    if case == "improper phi":  # |phi| = 1.2: Phi indefinite, Sigma still PD
+        lam = np.where(salient, 0.4, 0.0) * np.ones((4, 1, 1))
+        phi = np.stack([np.eye(3) + 1.2 * (1.0 - np.eye(3))] * 4)
+    elif case == "singular phi":  # phi = 1: Phi has rank 1
+        phi = np.ones((4, 3, 3))
+    elif case == "psi at its floor":
+        psi[:, ::2] = PSI_FLOOR
+    return lam, phi, psi
+
+
+class TestFactorInverse:
+    """Sigma^-1 through the factor structure, against numpy's dense inverse."""
+
+    @pytest.mark.parametrize(
+        "case", ["random", "improper phi", "singular phi", "psi at its floor"]
+    )
+    def test_matches_dense_inverse(self, case):
+        lam, phi, psi = factor_inverse_case(case, np.random.default_rng(41))
+        sigma = implied_covariance(lam, phi, psi)
+        assert np.all(np.linalg.eigvalsh(sigma) > 0)
+        log_det, sig_inv = estimation._factor_inverse(sigma, lam, phi, psi)
+        dense = np.linalg.inv(sigma)
+        assert np.max(np.abs(sig_inv - dense)) < 1e-12 * np.max(np.abs(dense))
+        assert log_det.tobytes() == estimation._cholesky(sigma).tobytes()
+
+    def test_rows_without_positive_definite_sigma_read_nan_silently(self):
+        # Row 1 is indefinite and row 2 has a trial step's psi = inf.  Row 3's
+        # negative uniquenesses make Sigma singular and I + Phi Lambda' A
+        # exactly zero, which would fail the whole stack's solve.
+        lam, phi, psi = factor_inverse_case("random", np.random.default_rng(42))
+        phi[1] = np.full((3, 3), 1.5) - 0.5 * np.eye(3)
+        psi[1] = 0.01
+        psi[2, 4] = np.inf
+        lam[3], phi[3], psi[3, :3] = 0.0, np.eye(3), -1.0
+        lam[3, [0, 1, 2], [0, 1, 2]] = 1.0
+        sigma = implied_covariance(lam, phi, psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_det, sig_inv = estimation._factor_inverse(sigma, lam, phi, psi)
+        assert np.isnan(log_det).tolist() == [False, True, True, True]
+        assert np.isnan(sig_inv[1:]).all() and np.isfinite(sig_inv[0]).all()
+        assert sig_inv[0].tobytes() == estimation._factor_inverse(
+            sigma[:1], lam[:1], phi[:1], psi[:1]
+        )[1][0].tobytes()
+
+    def test_slices_equal_rows_alone(self, icm_pattern):
+        # A search's 36 refits as one stack: every slice, and the kernel's F
+        # and gradient, equal the same row evaluated alone bit for bit.
+        _, models = single_cell_refits(icm_pattern, "free")
+        rng = np.random.default_rng(43)
+        lam = np.stack([random_loadings(m.pattern, rng) for m in models])
+        phi = np.stack([np.eye(3) + 0.3 * (1.0 - np.eye(3))] * len(models))
+        psi = rng.uniform(0.3, 0.6, size=(len(models), 18))
+        sigma = implied_covariance(lam, phi, psi)
+        S = sigma[0]
+        log_det, sig_inv = estimation._factor_inverse(sigma, lam, phi, psi)
+        f, grad = estimation._discrepancy_and_gradient(StackedLayout.of(models), lam, phi, psi, S)
+        assert len(models) == 36
+        for r, model in enumerate(models):
+            one = lam[r : r + 1], phi[r : r + 1], psi[r : r + 1]
+            log_det_r, sig_inv_r = estimation._factor_inverse(sigma[r : r + 1], *one)
+            assert log_det[r : r + 1].tobytes() == log_det_r.tobytes()
+            assert sig_inv[r : r + 1].tobytes() == sig_inv_r.tobytes()
+            f_r, grad_r = estimation._discrepancy_and_gradient(model.layout, *one, S)
+            assert f[r : r + 1].tobytes() == f_r.tobytes()
+            assert grad[r : r + 1].tobytes() == grad_r.tobytes()
 
 
 class TestExpectedInformation:
@@ -717,9 +804,9 @@ class TestFitEach:
         if case == "far-off start":
             moments, start, models = far_off_start(data_dir, icm_pattern)
         else:
-            # Refit 1 of this sample stalls at F's rounding floor after 9
+            # Refit 7 of this sample stalls at F's rounding floor after 10
             # BFGS iterations; one scoring step finishes it.
-            _, moments = draw_sample(balanced_population(3, 6, 0.6, 0.2, 0.3).sigma, 300, 110)
+            _, moments = draw_sample(balanced_population(3, 6, 0.6, 0.2, 0.3).sigma, 300, 456)
             icm_model, models = single_cell_refits(icm_pattern, 0.3)
             icm_solution = fit(icm_model, None, moments)
             start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
@@ -745,9 +832,9 @@ class TestFitEach:
         assert [result.nfev for result, _ in finishes] != [finishes[0][0].nfev] * len(models)
         if case == "far-off start":
             assert any(overflowed)
-            assert solutions[0].n_iterations == 129
+            assert solutions[0].n_iterations == 131
         else:
-            result, finished = finishes[1]
+            result, finished = finishes[7]
             assert np.max(np.abs(result.jac)) >= estimation.GRADIENT_TOL
             assert finished.gradient_norm < estimation.GRADIENT_TOL
             assert finished.n_iterations > result.nit

@@ -238,6 +238,20 @@ class TestLoadingPattern:
         with pytest.raises(StructureError, match=message):
             LoadingPattern(salient, free)
 
+    def test_equality_compares_both_masks(self):
+        a, b = block_pattern(3, 6), block_pattern(3, 6)
+        assert a == b and hash(a) == hash(b)
+        assert a != a.with_nonsalient_free()
+        assert a != a.with_cells_freed([(0, 1)])
+        assert a != LoadingPattern(a.salient.T, a.free.T)
+        assert a != "pattern"
+        assert len({a, b, a.with_nonsalient_free()}) == 2
+
+    def test_models_compare_by_identity(self, icm_pattern):
+        model = FactorModel.free_phi(icm_pattern)
+        assert model == model
+        assert model != FactorModel.free_phi(icm_pattern)
+
     def test_masks_are_read_only_copies(self):
         salient = np.eye(2, dtype=bool)
         pattern = LoadingPattern(salient, salient)

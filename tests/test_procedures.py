@@ -18,10 +18,6 @@ from efa_oracle import efa_optimum
 REFIT_MI_THRESHOLD = 5.0
 
 
-def same_pattern(a, b):
-    return np.array_equal(a.salient, b.salient) and np.array_equal(a.free, b.free)
-
-
 @pytest.fixture(scope="module")
 def icm_population_moments():
     pop = balanced_population(3, 6, 0.6, 0.0, 0.3)
@@ -231,7 +227,7 @@ class TestSpecificationSearch:
         )
         assert trace.converged
         assert max(mi for _, _, mi in trace.mi_table) < REFIT_MI_THRESHOLD
-        assert same_pattern(trace.pattern, icm_pattern)
+        assert trace.pattern == icm_pattern
         assert trace.final.solution is trace.steps[0].solution
 
     def test_zero_budget_is_noop(self, population, icm_pattern):
@@ -239,7 +235,7 @@ class TestSpecificationSearch:
         trace = specification_search(
             icm_pattern, moments, mi_threshold=0.0, max_freed_per_factor=0
         )
-        assert same_pattern(trace.pattern, icm_pattern)
+        assert trace.pattern == icm_pattern
 
     def test_negative_budget_rejected_before_any_fit(self, population, icm_pattern, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -307,7 +303,7 @@ class TestSpecificationSearch:
         pattern = block_pattern(3, 6, "zero")
         a = specification_search(pattern, moments, mi_threshold=REFIT_MI_THRESHOLD)
         b = specification_search(pattern, moments, mi_threshold=REFIT_MI_THRESHOLD)
-        assert same_pattern(a.pattern, b.pattern)
+        assert a.pattern == b.pattern
 
 
 class TestIcmProcedure:
@@ -316,6 +312,11 @@ class TestIcmProcedure:
         assert len(trace.steps) == 1
         assert trace.procedure == "icm"
         assert trace.converged
+
+    def test_traces_compare_by_identity(self, population_moments, icm_pattern):
+        trace = icm(icm_pattern, "free", population_moments)
+        assert trace == trace
+        assert trace != icm(icm_pattern, "free", population_moments)
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +362,7 @@ class TestMetamorphic:
         else:
             a = specification_search(icm_pattern, sample_moments, mi_threshold=REFIT_MI_THRESHOLD)
             b = specification_search(icm_pattern, rescaled, mi_threshold=REFIT_MI_THRESHOLD)
-            assert same_pattern(a.pattern, b.pattern)
+            assert a.pattern == b.pattern
             assert np.allclose([mi for *_, mi in b.mi_table], [mi for *_, mi in a.mi_table],
                                rtol=0, atol=1e-5)
         sa, sb = a.final.solution, b.final.solution
