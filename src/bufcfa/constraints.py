@@ -208,7 +208,8 @@ class Pivots:
     """Per constraint, the member loading solved for from the others.
 
     ``cells`` place the pivots in the loading matrix, ``params`` in the
-    packed vector; ``fixed_weights`` is None in self-weighted mode.
+    packed vector; ``fixed_weights`` is None in self-weighted mode.  Every
+    array is read-only.
     """
 
     cells: tuple[np.ndarray, np.ndarray]
@@ -252,8 +253,9 @@ def choose_pivots(cset: ConstraintSet, model: FactorModel) -> Pivots:
     # Entries are in constraint order: take each constraint's first best one.
     hits = np.flatnonzero(score == best[ids])
     chosen = hits[np.searchsorted(ids[hits], np.arange(len(cset)))]
-    fixed = None if fixed_weights is None else weights[chosen]
-    return Pivots((rows[chosen], unwanted[chosen]), params[chosen], blocks[chosen], fixed)
+    fixed = None if fixed_weights is None else _readonly(weights[chosen])
+    cells = _readonly(rows[chosen]), _readonly(unwanted[chosen])
+    return Pivots(cells, _readonly(params[chosen]), _readonly(blocks[chosen]), fixed)
 
 
 def buffered_quality_index(lambda_hat: np.ndarray, pattern: LoadingPattern) -> float:

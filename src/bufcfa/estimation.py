@@ -28,12 +28,31 @@ Every evaluation factors each Sigma once with numpy's Cholesky and inverts
 it through the factor structure (:func:`_factor_inverse`); the stacked
 layout's ``pack`` gathers the gradient, and the constraint set's flat
 arrays do the rest, without Python loops over parameters or scipy.
+
+A cold fit (``fit`` without a start) starts from a point fixed by the model
+and the constraints alone, so the process memoises what that start derives
+without the sample (:class:`_ColdStart`): the set-up (:class:`_Setup`), the
+solver's start point and the starting inverse Hessian, None included.  The
+key is the exact bytes of everything the start reads: the shape, both
+pattern masks, the phi spec, and the constraint set's count and flat arrays
+with their weights, so that models differing in any bit (0.0 against -0.0
+included) never share an entry.  A hit hands out the read-only arrays its
+miss computed, so the fit runs from the same bits; the memo never holds
+the moments.  Keys and arrays together stay within ``_COLD_START_BYTES``
+(2 MB), each entry charged ``_COLD_START_OVERHEAD`` for its Python objects,
+and the least recently used entry goes first.  A Monte Carlo cell of any
+number of replications thus pays one miss per model.  The start point's
+pivots and constraint Jacobian are computed once per fit, hit or miss
+(:meth:`_Fits.evaluate`), and shared by the information and BFGS's first
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, is_dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,6 +60,7 @@ import numpy as np
 from .constraints import (
     ConstraintMode,
     ConstraintSet,
+    Pivots,
     choose_pivots,
     constraint_jacobian,
     evaluate_lambda,
@@ -51,6 +71,7 @@ from .model import (
     FactorModel,
     Solution,
     StackedLayout,
+    _readonly,
     implied_covariance,
     unpack,
 )
@@ -75,7 +96,8 @@ class SampleMoments:
 
     ``n`` may be None for population-matrix analyses, in which case only
     sample-size-free fit measures are available downstream.  ``log_det``
-    is ln|S|, kept from the positive-definiteness check.  This is the one
+    is ln|S|, kept from the positive-definiteness check, and
+    ``baseline_discrepancy`` is computed once, on first use.  This is the one
     place a moment matrix is checked for symmetry (to 1e-8) and symmetrised.
     """
 
@@ -111,6 +133,13 @@ class SampleMoments:
     @property
     def p(self) -> int:
         return self.S.shape[0]
+
+    @cached_property
+    def baseline_discrepancy(self) -> float:
+        """F of the independence (diagonal-covariance) model: -ln|R| for the correlations R of S."""
+        d = np.sqrt(np.diag(self.S))
+        _, log_det_R = np.linalg.slogdet(self.S / np.outer(d, d))
+        return -float(log_det_R)
 
 
 def _cholesky(matrices: np.ndarray) -> np.ndarray:
@@ -280,49 +309,75 @@ def _align_signs(lam, phi, first, flippable) -> tuple[np.ndarray, np.ndarray]:
     return lam * sign[:, None, :], phi * (sign[:, :, None] * sign[:, None, :])
 
 
+class _Setup(NamedTuple):
+    """What a stack of fits derives from its models and constraints alone.
+
+    Read-only arrays, built without calling the constraints' residuals or
+    Jacobian: the layout, each row's salient mask, the sign-alignment
+    arrays of :func:`_align_signs`, the kept parameters (z is theta[keep])
+    and the pivots (None unconstrained).
+    """
+
+    layout: StackedLayout
+    salient: np.ndarray
+    first_salient: np.ndarray
+    flippable: np.ndarray
+    keep: slice | np.ndarray
+    pivots: Optional[Pivots]
+
+    @classmethod
+    def of(cls, models: Sequence[FactorModel], constraints: Optional[ConstraintSet]) -> "_Setup":
+        model = models[0]
+        layout = model.layout if len(models) == 1 else StackedLayout.of(models)  # checks the sizes
+        salient = _readonly([model.pattern.salient for model in models])
+        # Sign alignment: each row's first salient variable per factor (a
+        # valid model has one on every factor), and the factors whose every
+        # correlation is free.
+        free_phi = np.isnan([model.phi_fixed for model in models]) | np.eye(model.q, dtype=bool)
+        keep, pivots = slice(None), None
+        if constraints:
+            pivots = choose_pivots(constraints, model)
+            keep = _readonly(np.setdiff1d(np.arange(model.n_parameters), pivots.params))
+        first_salient, flippable = salient.argmax(axis=1), free_phi.all(axis=2)
+        return cls(layout, salient, _readonly(first_salient), _readonly(flippable), keep, pivots)
+
+
 class _Fits:
     """Same-sized fits on one sample, in the solver's coordinates, as one stack.
 
-    Row ``r`` fits ``models[r]``.  The solver's vector z is theta[keep],
-    with log(psi - floor) for psi.  Only a stack of one takes constraints:
+    Row ``r`` fits ``models[r]``; ``setup`` is the stack's :class:`_Setup`,
+    built here unless given.  The solver's vector z is theta[keep], with
+    log(psi - floor) for psi.  Only a stack of one takes constraints:
     each is solved for its pivot (``choose_pivots``), and BFGS runs over
     the other parameters on the reduced gradient ``g - J' mu``, with
     multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points``,
-    ``objectives`` and ``informations`` evaluate the listed rows at their
-    solver points, one row of ``Z`` each; ``objective`` takes one row, and
-    ``finish`` every row.
+    ``evaluate``, ``objectives`` and ``informations`` evaluate the listed
+    rows at their solver points, one row of ``Z`` each; ``objective`` takes
+    one row, and ``finish`` every row.
     """
 
-    def __init__(self, models: Sequence[FactorModel], constraints: Optional[ConstraintSet], moments):
+    def __init__(
+        self,
+        models: Sequence[FactorModel],
+        constraints: Optional[ConstraintSet],
+        moments,
+        setup: Optional[_Setup] = None,
+    ):
         for model in models:
             if model.problems:
                 raise StructureError("invalid model: " + "; ".join(model.problems))
             _check_order(moments, model)
         self.models, self.constraints, self.moments = models, constraints, moments
-        self.layout = models[0].layout if len(models) == 1 else StackedLayout.of(models)
         model = models[0]
-        self.salient = np.array([model.pattern.salient for model in models])
-        # Sign alignment: each row's first salient variable per factor (a
-        # valid model has one on every factor), and the factors whose every
-        # correlation is free.
-        self.first_salient = self.salient.argmax(axis=1)
-        free_phi = np.isnan([model.phi_fixed for model in models]) | np.eye(model.q, dtype=bool)
-        self.flippable = free_phi.all(axis=2)
         self.m = len(constraints) if constraints is not None else 0
-        self.keep = slice(None)
+        self.setup = setup or _Setup.of(models, constraints)
+        (self.layout, self.salient, self.first_salient, self.flippable, self.keep,
+         self.pivots) = self.setup
         self.log_psi = slice(-model.p, None)  # the last p of theta, and of any union
         self.fixed_jac = None
-        if self.m:
-            self.pivots = choose_pivots(constraints, model)
-            self.keep = np.setdiff1d(np.arange(model.n_parameters), self.pivots.params)
-            if constraints.mode is not ConstraintMode.SELF_WEIGHTED:
-                # Fixed weights make the Jacobian constant: build it once per fit.
-                self.fixed_jac = constraint_jacobian(constraints, np.zeros(model.n_parameters), model)
-
-    def jacobian(self, theta):
-        if self.fixed_jac is not None:
-            return self.fixed_jac
-        return constraint_jacobian(self.constraints, theta, self.models[0])
+        if self.m and constraints.mode is not ConstraintMode.SELF_WEIGHTED:
+            # Fixed weights make the Jacobian constant: build it once per fit.
+            self.fixed_jac = constraint_jacobian(constraints, np.zeros(model.n_parameters), model)
 
     def start(self, start) -> np.ndarray:
         """Every row's solver point at a ``(lambda, phi, psi)`` start, cold if None."""
@@ -353,12 +408,26 @@ class _Fits:
             theta[0, pivots.params] = lam_0[pivots.cells]
         return layout, theta, lam, phi, psi
 
-    def objectives(self, rows, Z) -> list:
-        """``(F, gradient in z)`` per row, ``_INFEASIBLE_F`` and zeros where Sigma is not PD."""
-        layout, theta, lam, phi, psi = self.points(rows, Z)
+    def evaluate(self, rows, Z) -> tuple:
+        """The rows' :meth:`points`, and row 0's constraint Jacobian (None unconstrained).
+
+        ``objectives`` and ``informations`` take this from the caller when
+        both are wanted at one point, so that it is computed once.
+        """
+        point, jac = self.points(rows, Z), self.fixed_jac
+        if self.m and jac is None:
+            jac = constraint_jacobian(self.constraints, point[1][0], self.models[0])
+        return point, jac
+
+    def objectives(self, rows, Z, at=None) -> list:
+        """``(F, gradient in z)`` per row, ``_INFEASIBLE_F`` and zeros where Sigma is not PD.
+
+        ``at`` is the rows' :meth:`evaluate`, if already taken.
+        """
+        (layout, theta, lam, phi, psi), jac = at or self.evaluate(rows, Z)
         f, grad = _discrepancy_and_gradient(layout, lam, phi, psi, self.moments.S)
         if self.m:
-            jac, params = self.jacobian(theta[0]), self.pivots.params
+            params = self.pivots.params
             grad[0] -= jac.T @ (grad[0, params] / jac[np.arange(self.m), params])
         grad[:, self.log_psi] *= theta[:, self.log_psi] - PSI_FLOOR
         return [
@@ -369,7 +438,7 @@ class _Fits:
     def objective(self, z, row=0):
         return self.objectives([row], z[None])[0]
 
-    def informations(self, rows, Z) -> np.ndarray:
+    def informations(self, rows, Z, at=None) -> np.ndarray:
         """Expected information in z of each listed row, NaN where Sigma is not PD.
 
         That is ``T' info T`` with ``T = d theta / d z``: the identity on kept
@@ -377,9 +446,10 @@ class _Fits:
         -J[r, keep] / J[r, pivot].  Rows at one point (lambda, phi, psi) share
         one information over the union of their free parameters, and each
         takes its principal submatrix; every entry is the same arithmetic as
-        in the row's own, so a row gets the same bits either way.
+        in the row's own, so a row gets the same bits either way.  ``at`` is
+        the rows' :meth:`evaluate`, if already taken.
         """
-        layout, theta, lam, phi, psi = self.points(rows, Z)
+        (layout, theta, lam, phi, psi), jac = at or self.evaluate(rows, Z)
         groups = {}
         for r, point in enumerate(zip(lam, phi, psi)):
             groups.setdefault(b"".join(a.tobytes() for a in point), []).append(r)
@@ -396,8 +466,8 @@ class _Fits:
             keep, log_psi = self.keep, self.log_psi
             T = np.eye(len(info))[:, keep]
             T[log_psi] *= (theta[r, log_psi] - PSI_FLOOR)[:, None]
-            if self.m:
-                jac, params = self.jacobian(theta[r]), self.pivots.params
+            if self.m:  # only a stack of one takes constraints, so r is 0
+                params = self.pivots.params
                 T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
             info = T.T @ info @ T
             if len(group) > 1:
@@ -473,16 +543,96 @@ def fit(
     gradient and the constraint residuals met their tolerances;
     non-convergence is never silent.
     """
-    fits = _Fits([model], constraints, moments)
-    Z0 = fits.start(start)
+    key = cold = None
+    if start is None:
+        key = _cold_key(model, constraints)
+        cold = _recall(key)
+    fits = _Fits([model], constraints, moments, cold and cold.setup)
+    Z0 = fits.start(start) if cold is None else cold.z0
+    at = fits.evaluate([0], Z0)  # shared by the information and BFGS's first evaluation
+    if cold is None:
+        hess_inv0 = _pd_inverses(fits.informations([0], Z0, at))[0]
+        if key is not None:
+            _remember(key, fits.setup, Z0, hess_inv0)
+    else:
+        hess_inv0 = cold.hess_inv0
     result = minimize(
         fits.objective,
         Z0[0],
-        hess_inv0=_pd_inverses(fits.informations([0], Z0))[0],
+        hess_inv0=hess_inv0,
         gtol=GRADIENT_TOL,
         maxiter=MAX_ITERATIONS,
+        first=fits.objectives([0], Z0, at)[0],
     )
     return fits.finish([result])[0]
+
+
+class _ColdStart(NamedTuple):
+    """A cold fit's sample-free start: set-up, solver point (1, n) and inverse Hessian (or None)."""
+
+    setup: _Setup
+    z0: np.ndarray
+    hess_inv0: Optional[np.ndarray]
+    nbytes: int
+
+
+# Cold starts by key, least recently used first; keys and arrays stay within
+# _COLD_START_BYTES, each entry charged _COLD_START_OVERHEAD for its objects.
+# The lock keeps the read-modify-write steps whole when threads fit at once.
+_cold_starts: dict[tuple, _ColdStart] = {}
+_cold_lock = threading.Lock()
+_COLD_START_BYTES = 2_000_000
+_COLD_START_OVERHEAD = 8192
+
+
+def _cold_key(model: FactorModel, constraints: Optional[ConstraintSet]) -> tuple:
+    """Everything a cold start reads, as exact bytes.
+
+    The shape, both pattern masks and the phi spec; with constraints, their
+    count and flat arrays, weights included.  Bytes tell 0.0 from -0.0, and
+    one NaN payload from another.
+    """
+    pattern = model.pattern
+    key = (
+        pattern.salient.shape,
+        pattern.salient.tobytes(),
+        pattern.free.tobytes(),
+        model.phi_fixed.tobytes(),
+    )
+    if constraints:
+        key += (len(constraints), *(a if a is None else a.tobytes() for a in constraints.flat))
+    return key
+
+
+def _recall(key: tuple) -> Optional[_ColdStart]:
+    with _cold_lock:
+        entry = _cold_starts.pop(key, None)
+        if entry is not None:
+            _cold_starts[key] = entry  # now the most recently used
+    return entry
+
+
+def _remember(key: tuple, setup: _Setup, z0: np.ndarray, hess_inv0) -> None:
+    """Keep a cold start, read-only, and drop the least recently used beyond the bound."""
+    for array in (z0, hess_inv0):
+        if array is not None:
+            array.flags.writeable = False
+    nbytes = _COLD_START_OVERHEAD + _nbytes((key, setup, z0, hess_inv0))
+    with _cold_lock:
+        _cold_starts[key] = _ColdStart(setup, z0, hess_inv0, nbytes)
+        while sum(entry.nbytes for entry in _cold_starts.values()) > _COLD_START_BYTES:
+            del _cold_starts[next(iter(_cold_starts))]
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays and byte strings in a nest of tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, bytes):
+        return len(value)
+    if is_dataclass(value):
+        value = tuple(vars(value).values())
+    return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
 
 
 def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) -> list[Solution]:
@@ -525,13 +675,15 @@ class _BfgsResult(NamedTuple):
     nfev: int
 
 
-def minimize(objective, z0, *, hess_inv0, gtol, maxiter) -> _BfgsResult:
+def minimize(objective, z0, *, hess_inv0, gtol, maxiter, first=None) -> _BfgsResult:
     """Dense BFGS (:func:`_bfgs`) on ``objective(z) -> (F, gradient)``, from ``z0``.
 
-    A lock-step (:func:`_lock_step`) of one.  Returns ``x``, ``jac``, ``nit``
-    and ``nfev``.
+    A lock-step (:func:`_lock_step`) of one; ``first`` is ``(F, gradient)``
+    at ``z0`` if the caller has it.  Returns ``x``, ``jac``, ``nit`` and
+    ``nfev`` (which counts the start's evaluation either way).
     """
-    return _lock_step([_bfgs(z0, hess_inv0, gtol, maxiter)], lambda rows, Z: [objective(Z[0])])[0]
+    solvers = [_bfgs(z0, hess_inv0, gtol, maxiter)]
+    return _lock_step(solvers, lambda rows, Z: [objective(Z[0])], first and [first])[0]
 
 
 def _bfgs(z0, hess_inv0, gtol, maxiter):
@@ -574,19 +726,21 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     return _BfgsResult(z, grad, nit, nfev)
 
 
-def _lock_step(solvers: list, evaluate) -> list:
+def _lock_step(solvers: list, evaluate, first=None) -> list:
     """Run :func:`_bfgs` generators together; returns their results in order.
 
     Each round sends every pending trial point to ``evaluate(rows, Z)``
     at once, where ``Z`` stacks the points of the listed rows, and sends
     each generator its ``(F, gradient)``.  A generator leaves the round
-    in which it returns.
+    in which it returns.  ``first``, every start point's value if known,
+    stands in for the first round's call.
     """
     results = [None] * len(solvers)
     pending = {row: next(solver) for row, solver in enumerate(solvers)}
     while pending:
         rows = list(pending)
-        values = evaluate(rows, np.array([pending[row] for row in rows]))
+        values = first or evaluate(rows, np.array([pending[row] for row in rows]))
+        first = None
         for row, value in zip(rows, values):
             try:
                 pending[row] = solvers[row].send(value)

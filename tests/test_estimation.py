@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -39,6 +41,14 @@ def swapped_setup(population_moments, icm_pattern, free_pattern):
     cset = swap_members(build_fixed_weight_constraints(free_pattern, weights), [(4, 5), (4, 9)])
     start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
     return FactorModel.fixed_phi(free_pattern, 0.304), cset, start
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty cold-start memo for one test; the process's own is restored after it."""
+    memo = {}
+    monkeypatch.setattr(estimation, "_cold_starts", memo)
+    return memo
 
 
 def reversed_members(cset):
@@ -611,7 +621,7 @@ class TestExpectedInformation:
         assert np.allclose(inverse @ np.array([[4.0, 1.0], [1.0, 3.0]]), np.eye(2))
 
     def test_every_solve_starts_from_the_information(
-        self, population_moments, free_pattern, monkeypatch
+        self, population_moments, free_pattern, monkeypatch, empty_memo
     ):
         starts = []
         minimize = estimation.minimize
@@ -629,7 +639,9 @@ class TestExpectedInformation:
             assert start is not None
             np.linalg.cholesky(start)
 
-    def test_scoring_steps_finish_a_stalled_solve(self, population, free_pattern, monkeypatch):
+    def test_scoring_steps_finish_a_stalled_solve(
+        self, population, free_pattern, monkeypatch, empty_memo
+    ):
         # Near the optimum F's rounding error can stall the line search; a
         # solve cut off after 3 BFGS iterations stands in for that stall.
         from bufcfa.simulation import draw_sample
@@ -843,7 +855,7 @@ class TestFitEach:
 
     @pytest.mark.parametrize("phi_spec", ["free", 0.3])
     def test_refits_share_one_start_information(
-        self, population, icm_pattern, phi_spec, monkeypatch
+        self, population, icm_pattern, phi_spec, monkeypatch, empty_memo
     ):
         # Every refit starts at the ICM solution, its freed cell at zero: one
         # information over all 54 loadings, each row's submatrix bit for bit.
@@ -873,7 +885,7 @@ class TestFitEach:
         assert moved.tobytes() == own_fits.informations([0], Z0[1:2])[0].tobytes()
 
     def test_rows_at_different_starts_take_separate_informations(
-        self, data_dir, icm_pattern, monkeypatch
+        self, data_dir, icm_pattern, monkeypatch, empty_memo
     ):
         # The ICM row starts at its own point.  The two rows that move one
         # variable both start with its loadings at zero, so they share one
@@ -980,3 +992,213 @@ class TestFitEach:
             f_r, grad_r = estimation._discrepancy_and_gradient(model.layout, *one, S)
             np.testing.assert_array_equal(f[r : r + 1], f_r)
             np.testing.assert_array_equal(grad[r : r + 1], grad_r)
+
+
+def memo_case(case, icm_pattern, free_pattern):
+    """The model and constraints of a cold fit, rebuilt from scratch on every call."""
+    icm_pattern = LoadingPattern(icm_pattern.salient, icm_pattern.free)
+    free_pattern = LoadingPattern(free_pattern.salient, free_pattern.free)
+    weights = 0.6 + 0.01 * np.arange(18)
+    return {
+        "icm free phi": (FactorModel.free_phi(icm_pattern), None),
+        "icm phi 0": (FactorModel.fixed_phi(icm_pattern, 0.0), None),
+        "self-weighted phi 0": (
+            FactorModel.fixed_phi(free_pattern, 0.0),
+            build_one_step_constraints(free_pattern),
+        ),
+        "fixed weights": (
+            FactorModel.fixed_phi(free_pattern, 0.3),
+            build_fixed_weight_constraints(free_pattern, weights),
+        ),
+    }[case]
+
+
+def assert_same_bits(solution, other):
+    for name in ("lambda_hat", "phi_hat", "psi_hat", "constraint_residuals"):
+        assert getattr(solution, name).tobytes() == getattr(other, name).tobytes(), name
+    for name in ("f_min", "gradient_norm"):
+        assert float(getattr(solution, name)).hex() == float(getattr(other, name)).hex(), name
+    assert (solution.n_iterations, solution.converged) == (other.n_iterations, other.converged)
+
+
+def record_recalls(monkeypatch):
+    """Whether each cold fit from here on found its start in the memo."""
+    hits = []
+    recall = estimation._recall
+
+    def record(key):
+        entry = recall(key)
+        hits.append(entry is not None)
+        return entry
+
+    monkeypatch.setattr(estimation, "_recall", record)
+    return hits
+
+
+def memo_arrays(value):
+    """Every array in a memo entry's nest of tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = tuple(vars(value).values())
+    return [a for item in value for a in memo_arrays(item)] if isinstance(value, tuple) else []
+
+
+class TestColdStartMemo:
+    CASES = ["icm free phi", "icm phi 0", "self-weighted phi 0", "fixed weights"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_warm_hit_equals_cold_miss(
+        self, case, population, icm_pattern, free_pattern, monkeypatch, empty_memo
+    ):
+        # The memo is filled from one sample and then read for another: the
+        # start does not depend on the sample, so the hit gives the miss's bits.
+        first, second = (draw_sample(population.sigma, 300, seed)[1] for seed in (21, 22))
+        hits = record_recalls(monkeypatch)
+        sizes = record_information_sizes(monkeypatch)
+        fit(*memo_case(case, icm_pattern, free_pattern), first)
+        warm = fit(*memo_case(case, icm_pattern, free_pattern), second)
+        empty_memo.clear()
+        cold = fit(*memo_case(case, icm_pattern, free_pattern), second)
+        assert hits == [False, True, False]
+        assert len(empty_memo) == 1
+        assert_same_bits(warm, cold)
+        assert warm.converged
+        # Only the misses take the start's information (no fit needed scoring steps).
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_start_and_hit_make_the_same_constraint_calls(
+        self, case, population_moments, icm_pattern, free_pattern, monkeypatch, empty_memo
+    ):
+        # The start point's pivots and Jacobian are taken once per fit, hit or miss.
+        calls = []
+        for name in ("evaluate_lambda", "constraint_jacobian"):
+            original = getattr(estimation, name)
+
+            def record(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(estimation, name, record)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            fit(*memo_case(case, icm_pattern, free_pattern), population_moments)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+
+    def test_one_differing_bit_gets_its_own_entry(
+        self, population_moments, icm_pattern, free_pattern, monkeypatch, empty_memo
+    ):
+        moved = np.array(icm_pattern.salient)
+        moved[0] = [False, True, False]
+        one_phi = np.zeros((3, 3))
+        one_phi[0, 1] = one_phi[1, 0] = 0.1
+        weights = 0.6 + 0.01 * np.arange(18)
+        last_bit, zero, negative_zero = weights.copy(), weights.copy(), weights.copy()
+        last_bit[3] = np.nextafter(weights[3], 1.0)
+        zero[3], negative_zero[3] = 0.0, -0.0
+        fixed = FactorModel.fixed_phi(free_pattern, 0.3)
+        cases = [
+            (FactorModel.fixed_phi(icm_pattern, 0.0), None),
+            (FactorModel.fixed_phi(LoadingPattern(moved, moved), 0.0), None),
+            (FactorModel.fixed_phi(icm_pattern, one_phi), None),
+            (FactorModel.fixed_phi(icm_pattern, -0.0), None),
+        ] + [
+            (fixed, build_fixed_weight_constraints(free_pattern, w))
+            for w in (weights, last_bit, zero, negative_zero)
+        ]
+        hits = record_recalls(monkeypatch)
+        for model, cset in cases:
+            fit(model, cset, population_moments)
+        assert hits == [False] * len(cases)
+        assert len(empty_memo) == len(cases)
+        for model, cset in cases:
+            fit(model, cset, population_moments)
+        assert hits[len(cases):] == [True] * len(cases)
+
+    def test_cached_arrays_are_read_only(
+        self, population_moments, icm_pattern, free_pattern, empty_memo
+    ):
+        for case in self.CASES:
+            fit(*memo_case(case, icm_pattern, free_pattern), population_moments)
+        for entry in empty_memo.values():
+            arrays = memo_arrays(entry)
+            assert any(a is entry.z0 for a in arrays) and any(a is entry.hess_inv0 for a in arrays)
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 1
+        pivots = [entry.setup.pivots for entry in empty_memo.values() if entry.setup.pivots]
+        assert len(pivots) == 2
+
+    def test_stays_within_its_bound(
+        self, population_moments, icm_pattern, monkeypatch, empty_memo
+    ):
+        # Room for three entries of this size: later fits push out the least
+        # recently used, and an entry larger than the whole bound is not kept.
+        models = [FactorModel.fixed_phi(icm_pattern, 0.05 * k) for k in range(6)]
+        fit(models[0], None, population_moments)
+        size = empty_memo[estimation._cold_key(models[0], None)].nbytes
+        assert size > estimation._COLD_START_OVERHEAD + 36 * 36 * 8  # the inverse Hessian
+        monkeypatch.setattr(estimation, "_COLD_START_BYTES", 3 * size + size // 2)
+        for model in models[1:4]:
+            fit(model, None, population_moments)
+        fit(models[1], None, population_moments)  # a hit: now the most recent
+        for model in models[4:]:
+            fit(model, None, population_moments)
+        kept = [estimation._cold_key(model, None) for model in (models[1], *models[4:])]
+        assert list(empty_memo) == kept
+        assert sum(entry.nbytes for entry in empty_memo.values()) <= estimation._COLD_START_BYTES
+        monkeypatch.setattr(estimation, "_COLD_START_BYTES", size - 1)
+        fit(FactorModel.fixed_phi(icm_pattern, 0.5), None, population_moments)
+        assert empty_memo == {}
+
+    def test_default_bound_holds_past_its_size(self, population_moments, free_pattern, empty_memo):
+        # More distinct fixed-weight entries (66 solver parameters each) than
+        # the bound holds.
+        model = FactorModel.fixed_phi(free_pattern, 0.3)
+        size = None
+        for k in range(60):
+            weights = 0.6 + 0.001 * k + np.zeros(18)
+            fit(model, build_fixed_weight_constraints(free_pattern, weights), population_moments)
+            size = size or next(iter(empty_memo.values())).nbytes
+        assert 60 * size > estimation._COLD_START_BYTES
+        assert len(empty_memo) < 60
+        assert sum(entry.nbytes for entry in empty_memo.values()) <= estimation._COLD_START_BYTES
+
+    def test_threads_share_the_memo(self, population_moments, icm_pattern, monkeypatch, empty_memo):
+        # More threads than cores, each fitting models the others fit too,
+        # under a bound of about three entries and a short switch interval:
+        # every fit gives the serial bits and the bound holds at the end.
+        models = [FactorModel.fixed_phi(icm_pattern, 0.05 * k) for k in range(6)]
+        serial = [fit(model, None, population_moments) for model in models]
+        size = next(iter(empty_memo.values())).nbytes
+        monkeypatch.setattr(estimation, "_COLD_START_BYTES", 3 * size + size // 2)
+        empty_memo.clear()
+        errors, mismatches = [], []
+
+        def work(offset):
+            try:
+                for k in range(40):
+                    r = (offset + k) % len(models)
+                    solution = fit(models[r], None, population_moments)
+                    if solution.lambda_hat.tobytes() != serial[r].lambda_hat.tobytes():
+                        mismatches.append(r)
+            except Exception as exc:  # would be lost with the thread otherwise
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert sum(entry.nbytes for entry in empty_memo.values()) <= estimation._COLD_START_BYTES

@@ -135,6 +135,22 @@ class TestBaseline:
         with pytest.raises(StructureError):
             baseline_fit(SampleMoments(np.eye(2)))
 
+    def test_computed_once_per_sample(self, monkeypatch):
+        # The chi-square of ln|R| taken from slogdet, as before it was kept,
+        # bit for bit; a second call reads the kept value.
+        rng = np.random.default_rng(1)
+        m = SampleMoments(np.corrcoef(rng.standard_normal((100, 6)), rowvar=False), n=100)
+        d = np.sqrt(np.diag(m.S))
+        _, logdet = np.linalg.slogdet(m.S / np.outer(d, d))
+        expected = float(max((m.n - 1) * (-logdet), 0.0))
+        assert baseline_fit(m)[0].hex() == expected.hex()
+
+        def no_slogdet(matrix):
+            raise AssertionError("baseline recomputed")
+
+        monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
+        assert baseline_fit(m)[0].hex() == expected.hex()
+
 
 class TestBuildReport:
     def test_population_run_reports_srmr_only(self, population_moments, icm_pattern):

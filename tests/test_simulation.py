@@ -5,7 +5,9 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
+from bufcfa import estimation
 from bufcfa.errors import InvalidPopulationError, StructureError
+from bufcfa.io import write_result
 from bufcfa.procedures import icm, one_step
 from bufcfa.simulation import (
     GridSpec,
@@ -260,6 +262,21 @@ class TestGrid:
         assert all(
             r.buffered_loading_rmsd is None for r in records if not r.buffered_converged
         )
+
+    def test_cold_start_memo_leaves_the_rows_unchanged(self, tmp_path, monkeypatch):
+        # Both cells fit the same two models: two misses in the first run,
+        # every other fit a hit.  The rows are written from a cleared memo,
+        # then from the memo that run left warm.
+        grid = GridSpec((0.6,), (0.0, 0.2), (0.0,), (300,), replications=3, master_seed=11)
+        memo = {}
+        monkeypatch.setattr(estimation, "_cold_starts", memo)
+        write_result(run_grid(grid), tmp_path / "cleared.json")
+        assert len(memo) == 2
+        write_result(run_grid(grid), tmp_path / "warm.json")
+        assert len(memo) == 2
+        for suffix in (".json", ".cells.csv", ".reps.csv"):
+            cleared = (tmp_path / "cleared.json").with_suffix(suffix).read_bytes()
+            assert cleared == (tmp_path / "warm.json").with_suffix(suffix).read_bytes(), suffix
 
     def test_cell_results_independent_of_execution_order(self):
         from bufcfa.simulation import run_cell, summarize_cell
