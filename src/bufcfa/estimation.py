@@ -12,17 +12,21 @@ step length decreases F enough, scoring steps finish the fit.
 
 F and its gradient are computed for a stack of parameter points, one
 model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
-same-sized models together: each model keeps its own BFGS (the
-:func:`_bfgs` generator), and one driver (:func:`_lock_step`) evaluates
-every round's pending trial points as one stack.  The start is batched as
-well: rows at one start point share one expected information over the
-union of their free parameters (:meth:`_Fits.informations`), and the
-starting inverses are one batched inverse (:func:`_pd_inverses`).  So is
-the finish (:meth:`_Fits.finish`): after any per-row scoring steps, every
-row is unpacked, sign-aligned and scored as one stack.  :func:`fit` is a
-stack of one, driven through :func:`minimize`, the one-row adapter.  A
-slice goes through the same operations as a stack of one, so those fits
-are bit-identical to serial :func:`fit` calls.
+same-sized models together, as one BFGS state over the stack
+(:func:`_bfgs_stack`): every round evaluates the running rows' trial
+points in one call, and updates their inverse Hessians as one batched
+product.  :func:`fit` is a stack of one, solved by the one-row generator
+(:func:`_bfgs`) that :func:`minimize` drives in a plain loop; at one row
+the generator costs less than the stacked state's masks and gathers.  The
+two take every step through the same operations, the rank-2 inverse
+update included (:func:`_update_inverses`, one (n, 2) by (2, n) product).
+The start is batched as well: rows at one start point share one expected
+information over the union of their free parameters
+(:meth:`_Fits.informations`), and the starting inverses are one batched
+inverse (:func:`_pd_inverses`).  So is the finish (:meth:`_Fits.finish`):
+after any per-row scoring steps, every row is unpacked, sign-aligned and
+scored as one stack.  A slice goes through the same operations as a stack
+of one, so those fits are bit-identical to serial :func:`fit` calls.
 
 Every evaluation factors each Sigma once with numpy's Cholesky and inverts
 it through the factor structure (:func:`_factor_inverse`); the stacked
@@ -419,8 +423,8 @@ class _Fits:
             jac = constraint_jacobian(self.constraints, point[1][0], self.models[0])
         return point, jac
 
-    def objectives(self, rows, Z, at=None) -> list:
-        """``(F, gradient in z)`` per row, ``_INFEASIBLE_F`` and zeros where Sigma is not PD.
+    def objectives(self, rows, Z, at=None) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' F and gradients in z, ``_INFEASIBLE_F`` and zeros where Sigma is not PD.
 
         ``at`` is the rows' :meth:`evaluate`, if already taken.
         """
@@ -430,13 +434,15 @@ class _Fits:
             params = self.pivots.params
             grad[0] -= jac.T @ (grad[0, params] / jac[np.arange(self.m), params])
         grad[:, self.log_psi] *= theta[:, self.log_psi] - PSI_FLOOR
-        return [
-            (_INFEASIBLE_F, np.zeros_like(z)) if math.isnan(f_r) else (f_r, g[self.keep])
-            for z, f_r, g in zip(Z, f.tolist(), grad)
-        ]
+        grad = grad[:, self.keep]
+        infeasible = np.isnan(f)
+        if infeasible.any():
+            f[infeasible], grad[infeasible] = _INFEASIBLE_F, 0.0
+        return f, grad
 
     def objective(self, z, row=0):
-        return self.objectives([row], z[None])[0]
+        f, grad = self.objectives([row], z[None])
+        return f[0], grad[0]
 
     def informations(self, rows, Z, at=None) -> np.ndarray:
         """Expected information in z of each listed row, NaN where Sigma is not PD.
@@ -556,13 +562,14 @@ def fit(
             _remember(key, fits.setup, Z0, hess_inv0)
     else:
         hess_inv0 = cold.hess_inv0
+    f0, g0 = fits.objectives([0], Z0, at)
     result = minimize(
         fits.objective,
         Z0[0],
         hess_inv0=hess_inv0,
         gtol=GRADIENT_TOL,
         maxiter=MAX_ITERATIONS,
-        first=fits.objectives([0], Z0, at)[0],
+        first=(f0[0], g0[0]),
     )
     return fits.finish([result])[0]
 
@@ -649,9 +656,12 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
       (:meth:`_Fits.informations`), and the starting inverse Hessians are
       one batched inverse (:func:`_pd_inverses`); a row whose information
       is not positive definite starts from the identity.
-    - The solve: every model runs its own BFGS (:func:`_bfgs`); a round
-      evaluates all pending trial points in one stacked call
-      (:func:`_lock_step`).
+    - The solve: one BFGS state for the whole stack (:func:`_bfgs_stack`),
+      whose every round evaluates the rows' trial points in one stacked
+      call and updates their inverse Hessians as one batched product.
+      :func:`fit`'s one row runs the generator :func:`_bfgs` instead, which
+      costs less at one row; both take the same steps and the same update
+      (:func:`_update_inverses`), so their rows agree bit for bit.
     - The finish: :meth:`_Fits.finish` takes any scoring steps row by row,
       then unpacks, aligns signs and scores every row as one stack.
     """
@@ -660,14 +670,11 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
     fits = _Fits(models, None, moments)
     Z0 = fits.start(start)
     inverses = _pd_inverses(fits.informations(range(len(models)), Z0))
-    solvers = [
-        _bfgs(z0, inverse, GRADIENT_TOL, MAX_ITERATIONS) for z0, inverse in zip(Z0, inverses)
-    ]
-    return fits.finish(_lock_step(solvers, fits.objectives))
+    return fits.finish(_bfgs_stack(fits.objectives, Z0, inverses, GRADIENT_TOL, MAX_ITERATIONS))
 
 
 class _BfgsResult(NamedTuple):
-    """Where :func:`_bfgs` stopped: the point, its gradient, and the counts."""
+    """Where a BFGS row stopped: the point, its gradient, and the counts."""
 
     x: np.ndarray
     jac: np.ndarray
@@ -678,12 +685,21 @@ class _BfgsResult(NamedTuple):
 def minimize(objective, z0, *, hess_inv0, gtol, maxiter, first=None) -> _BfgsResult:
     """Dense BFGS (:func:`_bfgs`) on ``objective(z) -> (F, gradient)``, from ``z0``.
 
-    A lock-step (:func:`_lock_step`) of one; ``first`` is ``(F, gradient)``
-    at ``z0`` if the caller has it.  Returns ``x``, ``jac``, ``nit`` and
-    ``nfev`` (which counts the start's evaluation either way).
+    :func:`fit`'s solve: a plain loop that sends the one generator each
+    trial point's value (perfbench's trace wraps it under this name).
+    ``first`` is ``(F, gradient)`` at ``z0`` if the caller has it.  Returns
+    ``x``, ``jac``, ``nit`` and ``nfev`` (which counts the start's
+    evaluation either way).
     """
-    solvers = [_bfgs(z0, hess_inv0, gtol, maxiter)]
-    return _lock_step(solvers, lambda rows, Z: [objective(Z[0])], first and [first])[0]
+    solver = _bfgs(z0, hess_inv0, gtol, maxiter)
+    z = next(solver)
+    value = objective(z) if first is None else first
+    while True:
+        try:
+            z = solver.send(value)
+        except StopIteration as done:
+            return done.value
+        value = objective(z)
 
 
 def _bfgs(z0, hess_inv0, gtol, maxiter):
@@ -695,8 +711,9 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     a step too small to change F never passes; a trial at ``_INFEASIBLE_F``
     simply fails it.  The solve stops once ``max|g| < gtol`` or after
     ``maxiter`` iterations, and stalls where ``d`` is not downhill or no step
-    passes within ``_MAX_HALVINGS`` halvings.  The rank-2 inverse update is
-    skipped where ``s'y <= 0``.  Returns a :class:`_BfgsResult`.
+    passes within ``_MAX_HALVINGS`` halvings.  The rank-2 inverse update
+    (:func:`_update_inverses`) is skipped where ``s'y <= 0``.  Returns a
+    :class:`_BfgsResult`.
     """
     z = np.asarray(z0, dtype=float)
     f, grad = yield z
@@ -704,7 +721,7 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     nit, nfev = 0, 1
     while np.abs(grad).max() >= gtol and nit < maxiter:
         direction = -(H @ grad)
-        slope = float(grad @ direction)
+        slope = grad @ direction
         if not slope < 0:
             break
         for halving in range(_MAX_HALVINGS + 1):
@@ -718,36 +735,102 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
             break
         change = grad_new - grad
         z, f, grad, nit = trial, f_new, grad_new, nit + 1
-        curvature = float(step @ change)
+        curvature = step @ change
         if curvature > 0:
-            h_change = H @ change
-            H += ((curvature + change @ h_change) / curvature**2) * (step[:, None] * step)
-            H -= (h_change[:, None] * step + step[:, None] * h_change) / curvature
+            _update_inverses(H, step, change, curvature)
     return _BfgsResult(z, grad, nit, nfev)
 
 
-def _lock_step(solvers: list, evaluate, first=None) -> list:
-    """Run :func:`_bfgs` generators together; returns their results in order.
+def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter) -> list[_BfgsResult]:
+    """:func:`_bfgs` on every row of ``Z0`` as one state; returns each row's result.
 
-    Each round sends every pending trial point to ``evaluate(rows, Z)``
-    at once, where ``Z`` stacks the points of the listed rows, and sends
-    each generator its ``(F, gradient)``.  A generator leaves the round
-    in which it returns.  ``first``, every start point's value if known,
-    stands in for the first round's call.
+    ``objectives(rows, Z)`` gives the F (k,) and gradients (k, n) of the
+    listed rows at the rows of ``Z``; ``inverses`` holds each row's starting
+    inverse Hessian (None for the identity); ``gtol`` and ``maxiter`` are
+    one value or one per row.  The state is arrays over the running rows.
+    Each round takes every row's direction and slope as batched products,
+    evaluates every trial point in one call and tests Armijo's condition on
+    all of them; the rows whose step passed update their slices of the
+    stacked H (:func:`_update_inverses`), and the others halve their step.
+    A row's stopping tests give the same answer in every round in which it
+    does not move, so all rows are tested every round, and a row leaves in
+    the round in which :func:`_bfgs` would stop it.  Each row goes through
+    the same BLAS calls as in :func:`_bfgs`, so its result is that of
+    ``_bfgs`` on the row alone, bit for bit.  A row's ``nfev`` is one more
+    than the rounds it ran.
     """
-    results = [None] * len(solvers)
-    pending = {row: next(solver) for row, solver in enumerate(solvers)}
-    while pending:
-        rows = list(pending)
-        values = first or evaluate(rows, np.array([pending[row] for row in rows]))
-        first = None
-        for row, value in zip(rows, values):
-            try:
-                pending[row] = solvers[row].send(value)
-            except StopIteration as done:
-                del pending[row]
-                results[row] = done.value
-    return results
+    k, n = Z0.shape
+    rows = np.arange(k)
+    z = np.array(Z0, dtype=float)
+    H = np.stack([np.eye(n) if inverse is None else inverse for inverse in inverses])
+    gtol, maxiter = np.broadcast_to(gtol, k), np.broadcast_to(maxiter, k)
+    f, grad = objectives(rows, z)
+    nit, halving = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    results: list = [None] * k
+    nfev = 1
+    while True:
+        direction = -(H @ grad[:, :, None])[:, :, 0]
+        slope = _dots(grad, direction)
+        going = (
+            (np.abs(grad).max(axis=1) >= gtol) & (nit < maxiter) & (slope < 0)
+            & (halving <= _MAX_HALVINGS)
+        )
+        if not going.all():
+            for r in np.flatnonzero(~going).tolist():
+                results[rows[r]] = _BfgsResult(z[r].copy(), grad[r].copy(), int(nit[r]), nfev)
+            if not going.any():
+                return results
+            rows, z, f, grad, H, direction, slope, nit, halving, gtol, maxiter = (
+                a[going]
+                for a in (rows, z, f, grad, H, direction, slope, nit, halving, gtol, maxiter)
+            )
+        scale = 0.5**halving
+        step = direction * scale[:, None]
+        trial = z + step
+        f_new, grad_new = objectives(rows, trial)
+        nfev += 1
+        passed = f_new - f <= _ARMIJO_C1 * scale * slope
+        moved = np.flatnonzero(passed)
+        if moved.size == len(rows):
+            change = grad_new - grad
+            z, f, grad, halving = trial, f_new, grad_new, np.zeros_like(halving)
+        else:
+            step, change = step[moved], grad_new[moved] - grad[moved]
+            z[moved], f[moved], grad[moved] = trial[moved], f_new[moved], grad_new[moved]
+            halving = np.where(passed, 0, halving + 1)
+        nit[moved] += 1
+        curvature = _dots(step, change)
+        update = curvature > 0
+        if update.all() and moved.size == len(rows):
+            _update_inverses(H, step, change, curvature)
+        elif update.any():
+            H_update = H[moved[update]]
+            _update_inverses(H_update, step[update], change[update], curvature[update])
+            H[moved[update]] = H_update
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r] @ b[r]`` for every row of two (k, n) stacks, one BLAS dot per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _update_inverses(H, step, change, curvature) -> None:
+    """BFGS's rank-2 update of an inverse Hessian, or of each in a stack, in place.
+
+    With ``s`` the step, ``y`` the change of gradient and ``c = s'y > 0``:
+    ``H += P Q'`` with ``P = [beta s - Hy/c, -s]``, ``Q = [s, Hy/c]`` and
+    ``beta = (c + y'Hy) / (c c)``, one (n, 2) by (2, n) product per slice.
+    A slice of a stack goes through the same BLAS calls as that matrix
+    alone, so the two agree bit for bit.
+    """
+    h_change = (H @ change[..., None])[..., 0]
+    scaled = h_change / curvature[..., None]
+    beta = (curvature + (change[..., None, :] @ h_change[..., None])[..., 0, 0]) / (
+        curvature * curvature
+    )
+    P = np.stack((beta[..., None] * step - scaled, -step), axis=-1)
+    Q = np.stack((step, scaled), axis=-1)
+    H += P @ np.swapaxes(Q, -1, -2)
 
 
 def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:

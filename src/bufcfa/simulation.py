@@ -9,6 +9,7 @@ replication), which makes grid results independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, make_dataclass
@@ -59,8 +60,18 @@ def balanced_population(
 
     Salient cells all equal ``salient``; within each (block, unwanted
     factor) pair the first half of the block carries one sign of
-    ``nonsalient`` and the second half the opposite sign.
+    ``nonsalient`` and the second half the opposite sign.  The model is
+    read-only, so it is memoised on the exact arguments (0.0 and -0.0
+    apart): a grid validates each cell's population and then fits from
+    that same object.
     """
+    signs = tuple(math.copysign(1.0, x) for x in (salient, nonsalient, phi_value))
+    return _balanced_population(q, per_factor, salient, nonsalient, phi_value, signs)
+
+
+@functools.lru_cache(maxsize=128)
+def _balanced_population(q, per_factor, salient, nonsalient, phi_value, signs) -> PopulationModel:
+    """:func:`balanced_population`'s model; ``signs`` only keys the memo."""
     if nonsalient != 0.0 and per_factor % 2 != 0:
         raise StructureError(
             "per-factor count must be even when secondary loadings are nonzero"

@@ -73,6 +73,14 @@ class TestBalancedPopulation:
         with pytest.raises(InvalidPopulationError):
             balanced_population(3, 6, 0.95, 0.3, 0.3)
 
+    def test_memoised_on_exact_arguments(self):
+        pop = balanced_population(3, 6, 0.6, 0.0, 0.0)
+        assert balanced_population(3, 6, 0.6, 0.0, 0.0) is pop
+        signed = balanced_population(3, 6, 0.6, -0.0, -0.0)
+        assert signed is not pop
+        assert np.signbit(signed.phi[0, 1]) and not np.signbit(pop.phi[0, 1])
+        assert balanced_population(3, 6, 0.6, 0.2, 0.0) is not pop
+
 
 class TestDrawSample:
     def test_same_seed_bit_identical(self, population):
@@ -277,6 +285,31 @@ class TestGrid:
         for suffix in (".json", ".cells.csv", ".reps.csv"):
             cleared = (tmp_path / "cleared.json").with_suffix(suffix).read_bytes()
             assert cleared == (tmp_path / "warm.json").with_suffix(suffix).read_bytes(), suffix
+
+    def test_each_population_is_built_once(self, monkeypatch):
+        # Validating the grid builds both cells' populations, and running
+        # it fits from those same objects.
+        from bufcfa import simulation
+
+        built, sigmas = [], []
+        from_loadings, draw = simulation.PopulationModel.from_loadings, simulation.draw_sample
+
+        def record(lam, phi):
+            built.append(from_loadings(lam, phi))
+            return built[-1]
+
+        def record_draw(sigma, n, seed):
+            sigmas.append(sigma)
+            return draw(sigma, n, seed)
+
+        monkeypatch.setattr(simulation.PopulationModel, "from_loadings", staticmethod(record))
+        monkeypatch.setattr(simulation, "draw_sample", record_draw)
+        simulation._balanced_population.cache_clear()
+        grid = GridSpec((0.6,), (0.0, 0.2), (0.0,), (300,), replications=2, master_seed=11)
+        assert len(built) == 2
+        run_grid(grid)
+        assert len(built) == 2
+        assert [id(sigma) for sigma in sigmas] == [id(pop.sigma) for pop in built for _ in range(2)]
 
     def test_cell_results_independent_of_execution_order(self):
         from bufcfa.simulation import run_cell, summarize_cell
