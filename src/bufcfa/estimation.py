@@ -28,6 +28,15 @@ after any per-row scoring steps, every row is unpacked, sign-aligned and
 scored as one stack.  A slice goes through the same operations as a stack
 of one, so those fits are bit-identical to serial :func:`fit` calls.
 
+A row evaluated on its own skips the stack's axis: fit's BFGS, its first
+evaluation from a memoised start, the finish's scoring steps and the finish
+of a stack of one run the kernel on 2-D arrays (:meth:`_Fits.point`,
+:meth:`_Fits.objective`), which saves numpy's per-call overhead on the
+stack's indexing and reshapes.  The kernel is written once over leading
+dimensions, and each operation on a 2-D point is the BLAS or LAPACK call
+that its slice of a stack makes, so the one-row path gives a stack slice's
+bits exactly.
+
 Every evaluation factors each Sigma once with numpy's Cholesky and inverts
 it through the factor structure (:func:`_factor_inverse`); the stacked
 layout's ``pack`` gathers the gradient, and the constraint set's flat
@@ -92,6 +101,9 @@ FEASIBILITY_TOL = 1e-8
 MAX_ITERATIONS = 2000
 # Cold start: salient loadings and uniquenesses here, the rest at zero.
 _COLD_START = 0.5
+# An information whose Cholesky factor has min L_ii^2 <= _SINGULAR_RATIO * max
+# L_ii^2 is singular up to rounding, and BFGS starts from the identity.
+_SINGULAR_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -146,61 +158,72 @@ class SampleMoments:
         return -float(log_det_R)
 
 
-def _cholesky(matrices: np.ndarray) -> np.ndarray:
-    """ln|M| of each matrix in a stack, from its lower Cholesky factor.
+def _cholesky_diagonals(matrices: np.ndarray) -> np.ndarray:
+    """The diagonal of each matrix's lower Cholesky factor, NaN where it did not factor.
 
-    ln|M| is not finite where M is not finite and positive definite; a
-    matrix that did not factor gets NaN.
+    ``matrices`` is one matrix or a stack of them.
     """
     try:
         factors = np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:  # factor one by one to find the failures
-        factors = np.full_like(matrices, np.nan)
+    except np.linalg.LinAlgError:
+        if matrices.ndim == 2:
+            return np.full(len(matrices), np.nan)
+        factors = np.full_like(matrices, np.nan)  # factor one by one to find the failures
         for r, matrix in enumerate(matrices):
             try:
                 factors[r] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 pass
-    return 2.0 * np.log(factors.diagonal(0, 1, 2)).sum(axis=1)
+    return factors.diagonal(0, -2, -1)
+
+
+def _cholesky(matrices: np.ndarray) -> np.ndarray:
+    """ln|M| of one matrix, or of each in a stack, from its lower Cholesky factor.
+
+    ln|M| is not finite where M is not finite and positive definite; a
+    matrix that did not factor gets NaN.
+    """
+    return 2.0 * np.log(_cholesky_diagonals(matrices)).sum(axis=-1)
 
 
 def _factor_inverse(sigma, lam, phi, psi) -> tuple[np.ndarray, np.ndarray]:
-    """ln|Sigma| and Sigma^-1 of a stack of Sigma = Lambda Phi Lambda' + Psi, NaN unless PD.
+    """ln|Sigma| and Sigma^-1 of Sigma = Lambda Phi Lambda' + Psi, NaN unless PD.
 
-    Only the Cholesky factor (:func:`_cholesky`) decides positive
-    definiteness and gives ln|Sigma|.  Sigma^-1 = Psi^-1 - A K A' (Woodbury)
-    with A = Psi^-1 Lambda and K = (I + Phi Lambda' A)^-1 Phi: one q x q
-    solve per slice, and no inverse of Phi, which may be singular or
-    indefinite where Sigma is PD.
+    One Sigma (2-D arrays) or a stack of them (3-D).  Only the Cholesky
+    factor (:func:`_cholesky`) decides positive definiteness and gives
+    ln|Sigma|.  Sigma^-1 = Psi^-1 - A K A' (Woodbury) with A = Psi^-1 Lambda
+    and K = (I + Phi Lambda' A)^-1 Phi: one q x q solve per slice, and no
+    inverse of Phi, which may be singular or indefinite where Sigma is PD.
     """
     log_det = _cholesky(sigma)
     bad = ~np.isfinite(log_det)
     any_bad = bad.any()
     # A trial step's psi = inf makes its rows of A and of Psi^-1 zero, not NaN.
-    A = lam / psi[:, :, None]
-    system = phi @ (lam.transpose(0, 2, 1) @ A)
+    A = lam / psi[..., None]
+    system = phi @ (lam.swapaxes(-1, -2) @ A)
     _diagonal(system)[...] += 1.0
     if any_bad:  # one singular slice would fail the whole stack's solve
         system[bad] = np.eye(phi.shape[-1])
-    sig_inv = (A @ np.linalg.solve(system, -phi)) @ A.transpose(0, 2, 1)  # -A K A'
+    sig_inv = (A @ np.linalg.solve(system, -phi)) @ A.swapaxes(-1, -2)  # -A K A'
     _diagonal(sig_inv)[...] += 1.0 / psi
     if any_bad:
-        log_det[bad] = sig_inv[bad] = np.nan
+        log_det = np.where(bad, np.nan, log_det)
+        sig_inv[bad] = np.nan
     return log_det, sig_inv
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
-    """Writable view of each slice's diagonal in a C-contiguous (k, n, n) stack."""
-    return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
+    """Writable view of the diagonal of a C-contiguous (n, n) matrix, or of each slice's in a stack."""
+    return stack.reshape(*stack.shape[:-2], -1)[..., :: stack.shape[-1] + 1]
 
 
 def _discrepancy(sigma: np.ndarray, S: np.ndarray, log_det_S: float) -> np.ndarray:
-    """F of each arbitrary Sigma in a stack (ln|Sigma| from :func:`_cholesky`), NaN unless PD."""
+    """F of one arbitrary Sigma, or of each in a stack (ln|Sigma| from :func:`_cholesky`), NaN unless PD."""
     log_det = _cholesky(sigma)
     trace = np.full_like(log_det, np.nan)
     ok = np.isfinite(log_det)
     # S as a stack of one: numpy < 2 would read a 2-D right-hand side as vectors.
-    trace[ok] = np.linalg.solve(sigma[ok], S[None]).trace(0, 1, 2)
+    trace[ok] = np.linalg.solve(sigma[ok], S[None]).trace(0, -2, -1)
     return log_det - log_det_S + trace - S.shape[0]
 
 
@@ -221,24 +244,29 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _discrepancy_and_gradient(layout: StackedLayout, lam, phi, psi, S):
-    """F without its ln|S| term, and the packed gradient, at a stack of points.
+    """F without its ln|S| term, and the packed gradient, at one point or a stack.
 
-    Slice ``r`` of ``lam``, ``phi`` and ``psi`` is a point of the model in
-    row ``r`` of ``layout``.  F is NaN where Sigma is not positive definite.
+    Slice ``r`` of 3-D ``lam``, ``phi`` and ``psi`` is a point of the model in
+    row ``r`` of ``layout``; 2-D arrays are one point, of a one-model layout
+    (``layout.take(r)``), and give a scalar F and one gradient vector.  Either
+    way each point goes through the same BLAS and LAPACK calls, so a point
+    alone equals its slice of a stack bit for bit.  F is NaN where Sigma is
+    not positive definite.
     """
     # Sigma is built here, not by implied_covariance, to reuse lam_phi for the gradient.
+    lam_t = lam.swapaxes(-1, -2)
     lam_phi = lam @ phi
-    common = lam_phi @ lam.transpose(0, 2, 1)
-    sigma = (common + common.transpose(0, 2, 1)) / 2.0
+    common = lam_phi @ lam_t
+    sigma = (common + common.swapaxes(-1, -2)) / 2.0
     _diagonal(sigma)[...] += psi
     log_det, sig_inv = _factor_inverse(sigma, lam, phi, psi)
     sig_inv_S = sig_inv @ S
-    f = log_det + sig_inv_S.trace(0, 1, 2) - S.shape[0]
+    f = log_det + sig_inv_S.trace(0, -2, -1) - S.shape[0]
     # 2W with W = Sigma^-1 (Sigma - S) Sigma^-1, made symmetric; doubling is exact.
     W2 = sig_inv - sig_inv_S @ sig_inv
-    W2 = W2 + W2.transpose(0, 2, 1)
-    phi_grad = lam.transpose(0, 2, 1) @ W2 @ lam
-    return f, layout.pack(W2 @ lam_phi, phi_grad, W2.diagonal(0, 1, 2) / 2.0)
+    W2 = W2 + W2.swapaxes(-1, -2)
+    phi_grad = lam_t @ W2 @ lam
+    return f, layout.pack(W2 @ lam_phi, phi_grad, W2.diagonal(0, -2, -1) / 2.0)
 
 
 def _check_order(moments: SampleMoments, model: FactorModel) -> None:
@@ -300,17 +328,17 @@ def _expected_information(cells, pairs, lam, phi, psi) -> Optional[np.ndarray]:
 
 
 def _align_signs(lam, phi, first, flippable) -> tuple[np.ndarray, np.ndarray]:
-    """Flip factor columns of a stack so that each first salient loading is nonnegative.
+    """Flip factor columns of one point or a stack so that each first salient loading is nonnegative.
 
-    ``first[r, f]`` is row r's first salient variable on factor f.  Only
-    columns with ``flippable[r, f]`` flip: those whose every off-diagonal
-    phi entry is free, since flipping a fixed correlation would change the
-    fitted model.  Each flip negates exactly.
+    ``first[r, f]`` is row r's first salient variable on factor f (``first[f]``
+    for one point).  Only columns with ``flippable[r, f]`` flip: those whose
+    every off-diagonal phi entry is free, since flipping a fixed correlation
+    would change the fitted model.  Each flip negates exactly.
     """
-    k, _, q = lam.shape
-    flip = flippable & (lam[np.arange(k)[:, None], first, np.arange(q)] < 0)
+    stack = (np.arange(len(lam))[:, None],) if lam.ndim == 3 else ()
+    flip = flippable & (lam[(*stack, first, np.arange(lam.shape[-1]))] < 0)
     sign = np.where(flip, -1.0, 1.0)
-    return lam * sign[:, None, :], phi * (sign[:, :, None] * sign[:, None, :])
+    return lam * sign[..., None, :], phi * (sign[..., :, None] * sign[..., None, :])
 
 
 class _Setup(NamedTuple):
@@ -356,8 +384,11 @@ class _Fits:
     the other parameters on the reduced gradient ``g - J' mu``, with
     multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points``,
     ``evaluate``, ``objectives`` and ``informations`` evaluate the listed
-    rows at their solver points, one row of ``Z`` each; ``objective`` takes
-    one row, and ``finish`` every row.
+    rows at their solver points, one row of ``Z`` each, as a stack.
+    ``point`` and ``objective`` evaluate one row on its own, with 2-D arrays
+    and the row's one-model layout (``row_layouts``): the same operations
+    as its slice of a stack, without the stack's axis, so both give the same
+    bits.  ``finish`` takes every row, and a stack of one on its own.
     """
 
     def __init__(
@@ -378,6 +409,7 @@ class _Fits:
         (self.layout, self.salient, self.first_salient, self.flippable, self.keep,
          self.pivots) = self.setup
         self.log_psi = slice(-model.p, None)  # the last p of theta, and of any union
+        self.row_layouts = [self.layout.take(r) for r in range(len(models))]
         self.fixed_jac = None
         if self.m and constraints.mode is not ConstraintMode.SELF_WEIGHTED:
             # Fixed weights make the Jacobian constant: build it once per fit.
@@ -440,9 +472,39 @@ class _Fits:
             f[infeasible], grad[infeasible] = _INFEASIBLE_F, 0.0
         return f, grad
 
+    def point(self, z, row=0):
+        """One row's theta, lambda, phi and psi at its solver point ``z``, pivots solved.
+
+        :meth:`points` for one row, as 1-D and 2-D arrays.
+        """
+        theta = np.zeros(self.models[row].n_parameters)
+        theta[self.keep] = z
+        with np.errstate(over="ignore"):  # a wild trial step lands on _INFEASIBLE_F
+            theta[self.log_psi] = PSI_FLOOR + np.exp(theta[self.log_psi])
+        lam, phi, psi = self.row_layouts[row].unpack(theta)
+        if self.m:
+            pivots = self.pivots
+            lam[pivots.cells] = -evaluate_lambda(self.constraints, lam) / pivots.weights(lam)
+            theta[pivots.params] = lam[pivots.cells]
+        return theta, lam, phi, psi
+
     def objective(self, z, row=0):
-        f, grad = self.objectives([row], z[None])
-        return f[0], grad[0]
+        """One row's F and gradient in z, ``_INFEASIBLE_F`` and zeros where Sigma is not PD.
+
+        :meth:`objectives` for one row, through the 2-D kernel.
+        """
+        theta, lam, phi, psi = self.point(z, row)
+        jac = self.fixed_jac
+        if self.m and jac is None:
+            jac = constraint_jacobian(self.constraints, theta, self.models[row])
+        f, grad = _discrepancy_and_gradient(self.row_layouts[row], lam, phi, psi, self.moments.S)
+        if math.isnan(f):
+            return _INFEASIBLE_F, np.zeros(len(z))
+        if self.m:
+            params = self.pivots.params
+            grad -= jac.T @ (grad[params] / jac[np.arange(self.m), params])
+        grad[self.log_psi] *= theta[self.log_psi] - PSI_FLOOR
+        return f, grad[self.keep]
 
     def informations(self, rows, Z, at=None) -> np.ndarray:
         """Expected information in z of each listed row, NaN where Sigma is not PD.
@@ -490,7 +552,8 @@ class _Fits:
         positive definite and halves the gradient norm.  BFGS iterations and
         scoring steps share ``MAX_ITERATIONS``.  A row takes its scoring
         steps on its own; then every row's point is unpacked, sign-aligned
-        and scored (``f_min``) as one stack.
+        and scored (``f_min``) as one stack, and a stack of one as its row
+        alone, with the same bits.
         """
         points, grad_norms, nits = [], [], []
         for row, result in enumerate(results):
@@ -507,12 +570,18 @@ class _Fits:
             points.append(z)
             grad_norms.append(float(np.max(np.abs(grad))))
             nits.append(nit)
-        _, _, lam, phi, psi = self.points(range(len(results)), np.array(points))
-        lam, phi = _align_signs(lam, phi, self.first_salient, self.flippable)
-        sigma = implied_covariance(lam, phi, psi)
-        f_min = _discrepancy(sigma, self.moments.S, self.moments.log_det)
+        if len(results) == 1:  # one row on its own, as 2-D arrays
+            _, lam, phi, psi = self.point(points[0])
+            first, flippable = self.first_salient[0], self.flippable[0]
+        else:
+            _, _, lam, phi, psi = self.points(range(len(results)), np.array(points))
+            first, flippable = self.first_salient, self.flippable
+        lam, phi = _align_signs(lam, phi, first, flippable)
+        f_min = _discrepancy(implied_covariance(lam, phi, psi), self.moments.S, self.moments.log_det)
         if np.isnan(f_min).any():
             raise NumericalError("model-implied matrix is not positive definite")
+        if lam.ndim == 2:
+            lam, phi, psi, f_min = lam[None], phi[None], psi[None], f_min[None]
         f_min = f_min.tolist()
         residuals = evaluate_lambda(self.constraints, lam[0]) if self.m else np.zeros(0)
         feasible = bool(np.all(np.abs(residuals) < FEASIBILITY_TOL))
@@ -554,22 +623,23 @@ def fit(
         key = _cold_key(model, constraints)
         cold = _recall(key)
     fits = _Fits([model], constraints, moments, cold and cold.setup)
-    Z0 = fits.start(start) if cold is None else cold.z0
-    at = fits.evaluate([0], Z0)  # shared by the information and BFGS's first evaluation
     if cold is None:
+        Z0 = fits.start(start)
+        at = fits.evaluate([0], Z0)  # shared by the information and BFGS's first evaluation
         hess_inv0 = _pd_inverses(fits.informations([0], Z0, at))[0]
         if key is not None:
             _remember(key, fits.setup, Z0, hess_inv0)
-    else:
-        hess_inv0 = cold.hess_inv0
-    f0, g0 = fits.objectives([0], Z0, at)
+        f0, g0 = fits.objectives([0], Z0, at)
+        first = f0[0], g0[0]
+    else:  # the memo's start: BFGS's first evaluation is its own
+        Z0, hess_inv0, first = cold.z0, cold.hess_inv0, None
     result = minimize(
         fits.objective,
         Z0[0],
         hess_inv0=hess_inv0,
         gtol=GRADIENT_TOL,
         maxiter=MAX_ITERATIONS,
-        first=(f0[0], g0[0]),
+        first=first,
     )
     return fits.finish([result])[0]
 
@@ -669,8 +739,12 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
         return []
     fits = _Fits(models, None, moments)
     Z0 = fits.start(start)
-    inverses = _pd_inverses(fits.informations(range(len(models)), Z0))
-    return fits.finish(_bfgs_stack(fits.objectives, Z0, inverses, GRADIENT_TOL, MAX_ITERATIONS))
+    # Passed on, not kept: the stacked H becomes the only copy of the inverses.
+    results = _bfgs_stack(
+        fits.objectives, Z0, _pd_inverses(fits.informations(range(len(models)), Z0)),
+        GRADIENT_TOL, MAX_ITERATIONS,
+    )
+    return fits.finish(results)
 
 
 class _BfgsResult(NamedTuple):
@@ -757,12 +831,14 @@ def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter) -> list[_BfgsResult]:
     the round in which :func:`_bfgs` would stop it.  Each row goes through
     the same BLAS calls as in :func:`_bfgs`, so its result is that of
     ``_bfgs`` on the row alone, bit for bit.  A row's ``nfev`` is one more
-    than the rounds it ran.
+    than the rounds it ran.  ``inverses`` is let go once stacked, so H is the
+    only copy left if the caller keeps none.
     """
     k, n = Z0.shape
     rows = np.arange(k)
     z = np.array(Z0, dtype=float)
     H = np.stack([np.eye(n) if inverse is None else inverse for inverse in inverses])
+    del inverses
     gtol, maxiter = np.broadcast_to(gtol, k), np.broadcast_to(maxiter, k)
     f, grad = objectives(rows, z)
     nit, halving = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
@@ -821,30 +897,37 @@ def _update_inverses(H, step, change, curvature) -> None:
     ``H += P Q'`` with ``P = [beta s - Hy/c, -s]``, ``Q = [s, Hy/c]`` and
     ``beta = (c + y'Hy) / (c c)``, one (n, 2) by (2, n) product per slice.
     A slice of a stack goes through the same BLAS calls as that matrix
-    alone, so the two agree bit for bit.
+    alone, so the two agree bit for bit.  P and Q are filled column by
+    column, in the (..., n, 2) layout of their stacked columns.
     """
     h_change = (H @ change[..., None])[..., 0]
     scaled = h_change / curvature[..., None]
     beta = (curvature + (change[..., None, :] @ h_change[..., None])[..., 0, 0]) / (
         curvature * curvature
     )
-    P = np.stack((beta[..., None] * step - scaled, -step), axis=-1)
-    Q = np.stack((step, scaled), axis=-1)
-    H += P @ np.swapaxes(Q, -1, -2)
+    P, Q = np.empty((*step.shape, 2)), np.empty((*step.shape, 2))
+    P[..., 0] = beta[..., None] * step - scaled
+    np.negative(step, out=P[..., 1])
+    Q[..., 0], Q[..., 1] = step, scaled
+    H += P @ Q.swapaxes(-1, -2)
 
 
 def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:
     """Exactly symmetric inverse of each positive definite matrix in a stack, else None.
 
-    Positive definite means that the Cholesky factor exists (:func:`_cholesky`,
-    which factors slice by slice once a slice fails); a NaN slice fails it.
-    The inverses are one batched ``inv``: each slice is the same LAPACK call
-    as the inverse of that matrix alone.
+    Positive definite means that the Cholesky factor exists
+    (:func:`_cholesky_diagonals`, which factors slice by slice once a slice
+    fails) and is well conditioned: its smallest squared diagonal entry
+    exceeds ``_SINGULAR_RATIO`` times its largest.  A NaN slice fails, and
+    so does one singular up to rounding, whose inverse would be huge or
+    fail.  The inverses are one batched ``inv``: each slice is the same
+    LAPACK call as the inverse of that matrix alone.
     """
-    ok = np.isfinite(_cholesky(matrices))
+    squares = np.square(_cholesky_diagonals(matrices))
+    ok = squares.min(axis=-1) > _SINGULAR_RATIO * squares.max(axis=-1)
     out: list[Optional[np.ndarray]] = [None] * len(matrices)
     if ok.any():
-        inverse = np.linalg.inv(matrices[ok])
+        inverse = np.linalg.inv(matrices if ok.all() else matrices[ok])
         inverse = (inverse + inverse.transpose(0, 2, 1)) / 2.0
         for r, slice_ in zip(np.flatnonzero(ok).tolist(), inverse):
             out[r] = slice_

@@ -28,6 +28,7 @@ from .simulation import CellSummary, RepRecord
 
 SUMMARY_COLUMNS = [f.name for f in dataclasses.fields(CellSummary)]
 RECORD_COLUMNS = [f.name for f in dataclasses.fields(RepRecord)]
+REPORT_FIELDS = [f.name for f in dataclasses.fields(FitReport)]
 
 
 def _split_cells(line: str) -> list[str]:
@@ -154,8 +155,10 @@ def _solution_dict(s: Solution) -> dict:
     }
 
 
-def _report_dict(r: FitReport) -> dict:
-    return dataclasses.asdict(r)
+def _fields(record, names) -> dict:
+    """A flat record's fields in field order: ``dataclasses.asdict`` without its deep copies."""
+    return {name: getattr(record, name) for name in names}
+
 
 
 def _pattern_dict(pattern: LoadingPattern) -> dict:
@@ -176,7 +179,7 @@ def trace_to_dict(trace: ProcedureTrace) -> dict:
             {
                 "label": step.label,
                 "solution": _solution_dict(step.solution),
-                "report": _report_dict(step.report),
+                "report": _fields(step.report, REPORT_FIELDS),
                 "weights": _array(step.weights) if step.weights is not None else None,
                 "weight_gap": step.weight_gap,
             }
@@ -189,8 +192,8 @@ def summaries_to_dict(summaries: list[CellSummary], records: list[RepRecord]) ->
     return {
         "kind": "grid_summary",
         "columns": SUMMARY_COLUMNS,
-        "cells": [dataclasses.asdict(s) for s in summaries],
-        "records": [dataclasses.asdict(r) for r in records],
+        "cells": [_fields(s, SUMMARY_COLUMNS) for s in summaries],
+        "records": [_fields(r, RECORD_COLUMNS) for r in records],
     }
 
 
@@ -241,7 +244,7 @@ def write_grid_tables(summaries, records, json_path) -> None:
         with base.with_suffix(suffix).open("w") as fh:
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                fh.write(",".join(_csv_value(v) for v in dataclasses.astuple(row)) + "\n")
+                fh.write(",".join(_csv_value(getattr(row, name)) for name in columns) + "\n")
 
 
 def read_result(path) -> dict:

@@ -13,7 +13,8 @@ they read), and it compiles its layout once, on first use: the loading
 cells and correlation pairs of the packed vector as read-only index
 arrays.  A :class:`StackedLayout` holds the arrays of same-sized models,
 found for the whole stack in one pass; its ``pack`` (of parameters or of
-the gradient) and ``unpack`` are single fancy-indexing operations.
+the gradient) and ``unpack`` are single fancy-indexing operations, on the
+whole stack or, through one row's layout (``take(r)``), on one vector.
 """
 
 from __future__ import annotations
@@ -344,10 +345,14 @@ class StackedLayout(NamedTuple):
     @property
     def psi_offset(self) -> int:
         """Free loadings plus free correlations: where the uniquenesses start."""
-        return self.loading_rows.shape[1] + self.phi_rows.shape[1]
+        return self.loading_rows.shape[-1] + self.phi_rows.shape[-1]
 
     def take(self, rows) -> "StackedLayout":
-        """The layout of the given rows."""
+        """The layout of the given rows; of one model's vectors for an int row.
+
+        A one-model layout (``take(r)``) packs a p x q lambda, a q x q phi and
+        a p psi into one vector and unpacks one vector into them.
+        """
         return StackedLayout(*(a[rows] for a in self))
 
     def union(self, p: int) -> tuple[tuple, tuple, np.ndarray]:
@@ -369,34 +374,44 @@ class StackedLayout(NamedTuple):
         psi_position = cells[0].size + pairs[0].size + np.arange(p)
         return cells, pairs, self.pack(position, pair_position, psi_position)
 
+    def _stack(self) -> tuple:
+        """The row index that leads a stack's fancy index; none for one model's layout."""
+        rows = self.loading_rows
+        return (np.arange(len(rows))[:, None],) if rows.ndim == 2 else ()
+
     def pack(self, lam: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """Packed rows from stacks of lambda, phi and psi, as :func:`pack` row by row.
 
-        A single matrix or vector in place of a stack is every row's.
+        A single matrix or vector in place of a stack is every row's; a
+        one-model layout packs single ones into one vector.
         """
         # Packs every gradient, so only a single psi is broadcast (np.broadcast_to is slow).
-        stack = np.arange(len(self.loading_rows))[:, None]
+        rows = self.loading_rows.shape[:-1]
         cells = self.loading_rows, self.loading_cols
         pairs = self.phi_rows, self.phi_cols
+        stack = self._stack() if lam.ndim == 3 or phi.ndim == 3 else ()
         return np.concatenate([
-            lam[(stack, *cells)] if lam.ndim == 3 else lam[cells],
-            phi[(stack, *pairs)] if phi.ndim == 3 else phi[pairs],
-            psi if psi.ndim == 2 else np.broadcast_to(psi, (len(stack), psi.size)),
-        ], axis=1)
+            lam[(*stack, *cells)] if lam.ndim == 3 else lam[cells],
+            phi[(*stack, *pairs)] if phi.ndim == 3 else phi[pairs],
+            psi if psi.ndim > len(rows) else np.broadcast_to(psi, (*rows, psi.size)),
+        ], axis=-1)
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacks of lambda, phi and psi from packed rows, as :func:`unpack` row by row."""
-        k, n_loadings = self.loading_rows.shape
+        """Stacks of lambda, phi and psi from packed rows, as :func:`unpack` row by row.
+
+        A one-model layout unpacks one vector into single ones.
+        """
+        *rows, n_loadings = self.loading_rows.shape
         psi_offset = self.psi_offset
-        q = self.phi_base.shape[1]
-        stack = np.arange(k)[:, None]
-        lam = np.zeros((k, theta.shape[1] - psi_offset, q))
-        lam[stack, self.loading_rows, self.loading_cols] = theta[:, :n_loadings]
+        q = self.phi_base.shape[-1]
+        stack = self._stack()
+        lam = np.zeros((*rows, theta.shape[-1] - psi_offset, q))
+        lam[(*stack, self.loading_rows, self.loading_cols)] = theta[..., :n_loadings]
         phi = self.phi_base.copy()
-        phi[stack, self.phi_rows, self.phi_cols] = phi[stack, self.phi_cols, self.phi_rows] = (
-            theta[:, n_loadings:psi_offset]
+        phi[(*stack, self.phi_rows, self.phi_cols)] = phi[(*stack, self.phi_cols, self.phi_rows)] = (
+            theta[..., n_loadings:psi_offset]
         )
-        psi = theta[:, psi_offset:].copy()
+        psi = theta[..., psi_offset:].copy()
         return lam, phi, psi
 
 

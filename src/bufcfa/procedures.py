@@ -184,12 +184,16 @@ def specification_search(
     variable order), and the final model refits them simultaneously.  The
     trace is converged only when the independent-clusters fit, every refit
     and the final fit converged.  Every model takes ``phi_spec``: ``"free"``
-    or a fixed value/matrix for the inter-factor correlations.
+    or a fixed value/matrix for the inter-factor correlations.  A negative
+    ``max_freed_per_factor`` or a non-finite ``mi_threshold`` raises
+    :class:`StructureError`.
     """
     if moments.n is None:
         raise StructureError("specification search requires a sample size")
     if max_freed_per_factor < 0:
         raise StructureError("max_freed_per_factor must be nonnegative")
+    if not np.isfinite(mi_threshold):
+        raise StructureError(f"mi_threshold must be finite, got {mi_threshold}")
     icm_model = _phi_spec_model(pattern, phi_spec)
     icm_solution = fit(icm_model, None, moments)
     steps = [

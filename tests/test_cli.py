@@ -186,6 +186,22 @@ class TestFitCommand:
         )
         assert cli.main(["fit", "--model", str(model), "--data", str(data)]) == 2
 
+    def test_two_indicator_document_fits(self, tmp_path):
+        # Its cold start's information is singular up to rounding: BFGS starts
+        # from the identity, not from numpy's LinAlgError.
+        from bufcfa.simulation import balanced_population
+
+        sigma = balanced_population(2, 2, 0.6, 0.0, 0.3).sigma
+        data = tmp_path / "four.dat"
+        data.write_text("n: 300\n" + "\n".join(" ".join(map(repr, row)) for row in sigma.tolist()) + "\n")
+        model = tmp_path / "four.model"
+        model.write_text(
+            "variables: x1 x2 x3 x4\nfactor F1: x1 x2\nfactor F2: x3 x4\nphi: free\nprocedure: icm\n"
+        )
+        out = tmp_path / "four.json"
+        assert cli.main(["fit", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+        assert read_result(out)["steps"][0]["solution"]["converged"] is True
+
     @pytest.mark.parametrize(
         "old,new,message",
         [
@@ -291,6 +307,20 @@ class TestSearchCommand:
             "--threshold", "5",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_1(self, tmp_path, data_dir, capsys, threshold):
+        out = tmp_path / "search.json"
+        code = cli.main([
+            "search",
+            "--model", str(data_dir / "one_step.model"),
+            "--data", str(data_dir / "population_corr.dat"),
+            "--threshold", threshold,
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "mi_threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_document_bounds_hold_without_flags(self, tmp_path, data_dir):
         text = (data_dir / "one_step.model").read_text()

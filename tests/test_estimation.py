@@ -882,7 +882,7 @@ class TestFitEach:
         evaluate, finish = estimation._discrepancy_and_gradient, estimation._Fits.finish
 
         def record(layout, lam, phi, psi, S):
-            rounds.append(len(lam))
+            rounds.append(len(lam) if lam.ndim == 3 else 1)  # a row alone is 2-D
             overflowed.append(bool(np.isinf(psi).any()))
             return evaluate(layout, lam, phi, psi, S)
 
@@ -1055,6 +1055,130 @@ class TestFitEach:
             f_r, grad_r = estimation._discrepancy_and_gradient(model.layout, *one, S)
             np.testing.assert_array_equal(f[r : r + 1], f_r)
             np.testing.assert_array_equal(grad[r : r + 1], grad_r)
+
+
+def one_row_setup(case, icm_pattern, free_pattern):
+    """A _Fits and its rows, every model with free phi: three refits of the ICM
+    model as one stack, or one model with self-weighted or fixed-weight
+    constraints, which only a stack of one takes."""
+    moments = draw_sample(balanced_population(3, 6, 0.6, 0.2, 0.3).sigma, 300, 7)[1]
+    if case == "unconstrained":
+        _, models = single_cell_refits(icm_pattern, "free")
+        return estimation._Fits(models[:3], None, moments), [0, 1, 2]
+    model = FactorModel.free_phi(free_pattern)
+    cset = (
+        build_one_step_constraints(free_pattern) if case == "self-weighted"
+        else build_fixed_weight_constraints(free_pattern, 0.6 + 0.01 * np.arange(18))
+    )
+    return estimation._Fits([model], cset, moments), [0]
+
+
+def one_row_point(fits, row, where, rng):
+    """A solver point of the row: feasible, with Sigma not positive definite,
+    or a trial step whose log-psi overflows."""
+    model = fits.models[row]
+    lam = random_loadings(model.pattern, rng)
+    lam[model.pattern.blocks[1][0], 1] *= -1.0  # the finish flips factor 1
+    phi = np.eye(3) + 0.3 * (1.0 - np.eye(3))
+    psi = rng.uniform(0.3, 0.6, size=model.p)
+    if where == "not PD":
+        lam, phi, psi = 1.5 * lam, np.full((3, 3), 1.5) - 0.5 * np.eye(3), np.full(model.p, 0.01)
+    z = fits.start((lam, phi, psi))[row]
+    if where == "overflow":
+        z[-5] = 800.0
+    return z
+
+
+class TestOneRow:
+    """A row evaluated alone (2-D arrays) equals its slice of a stack bit for bit."""
+
+    @pytest.mark.parametrize("where", ["feasible", "not PD", "overflow"])
+    @pytest.mark.parametrize("case", ["unconstrained", "self-weighted", "fixed weights"])
+    def test_objective_equals_its_stacked_row(self, case, where, icm_pattern, free_pattern):
+        fits, rows = one_row_setup(case, icm_pattern, free_pattern)
+        rng = np.random.default_rng(12)
+        for row in rows:
+            z = one_row_point(fits, row, where, rng)
+            f, grad = fits.objective(z, row)
+            f_stack, grad_stack = fits.objectives([row], z[None])
+            assert float(f).hex() == float(f_stack[0]).hex()
+            assert grad.tobytes() == grad_stack[0].tobytes()
+            assert grad.shape == z.shape
+            assert (f == estimation._INFEASIBLE_F) == (where != "feasible")
+            if where == "overflow":
+                assert np.isinf(fits.point(z, row)[3]).any()
+
+    @pytest.mark.parametrize("case", ["unconstrained", "self-weighted", "fixed weights"])
+    def test_point_equals_its_stacked_row(self, case, icm_pattern, free_pattern):
+        fits, rows = one_row_setup(case, icm_pattern, free_pattern)
+        rng = np.random.default_rng(13)
+        for row in rows:
+            z = one_row_point(fits, row, "feasible", rng)
+            _, *stacked = fits.points([row], z[None])
+            for one, stack in zip(fits.point(z, row), stacked):
+                assert one.tobytes() == stack[0].tobytes()
+
+    @pytest.mark.parametrize("case", ["unconstrained", "self-weighted", "fixed weights"])
+    def test_finish_equals_the_stacked_finish(self, case, icm_pattern, free_pattern):
+        # The finish of a stack of one runs on 2-D arrays; the stacked finish
+        # of the same point unpacks, aligns signs and scores (1, ...) stacks.
+        fits, rows = one_row_setup(case, icm_pattern, free_pattern)
+        rng = np.random.default_rng(14)
+        points = [one_row_point(fits, row, "feasible", rng) for row in rows]
+        results = [estimation._BfgsResult(z, np.zeros_like(z), 5, 6) for z in points]
+        moments = fits.moments
+        stacked = fits.finish(results) if len(rows) > 1 else None
+        for row, result in zip(rows, results):
+            alone = estimation._Fits([fits.models[row]], fits.constraints, moments)
+            solution = alone.finish([result])[0]
+            _, _, lam, phi, psi = alone.points([0], result.x[None])
+            lam, phi = estimation._align_signs(lam, phi, alone.first_salient, alone.flippable)
+            f_min = estimation._discrepancy(implied_covariance(lam, phi, psi), moments.S, moments.log_det)
+            assert lam[0, fits.models[row].pattern.blocks[1][0], 1] > 0
+            assert solution.lambda_hat.tobytes() == lam[0].tobytes()
+            assert solution.phi_hat.tobytes() == phi[0].tobytes()
+            assert solution.psi_hat.tobytes() == psi[0].tobytes()
+            assert float(solution.f_min).hex() == float(f_min[0]).hex()
+            if fits.constraints is not None:
+                residuals = evaluate_lambda(fits.constraints, lam[0])
+                assert solution.constraint_residuals.tobytes() == residuals.tobytes()
+            if stacked is not None:
+                assert_same_bits(solution, stacked[row])
+
+
+class TestSingularStart:
+    """Two indicators per factor: the cold start's information is singular up to
+    rounding (its Cholesky factor's squared diagonal spans 2.2e-16), so BFGS
+    starts from the identity instead of raising numpy's LinAlgError."""
+
+    @pytest.mark.parametrize("phi", [0.0, "free"])
+    def test_two_indicator_icm_fit_starts_from_identity(self, phi, monkeypatch, empty_memo):
+        pattern = block_pattern(2, 2, "zero")
+        model = FactorModel.free_phi(pattern) if phi == "free" else FactorModel.fixed_phi(pattern, phi)
+        moments = SampleMoments(balanced_population(2, 2, 0.6, 0.0, 0.3).sigma)
+        starts = []
+        minimize = estimation.minimize
+
+        def record(*args, **kwargs):
+            starts.append(kwargs["hess_inv0"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", record)
+        solution = fit(model, None, moments)
+        assert starts == [None]
+        assert np.isfinite(solution.f_min)
+        if phi == "free":  # identified (correlated factors): the exact fit
+            assert solution.converged
+            assert solution.f_min < 1e-12
+
+    def test_factor_singular_up_to_rounding_is_not_positive_definite(self):
+        # Both factor: [[1, 1], [1, 1 + 1e-12]] has L_22^2 = 1e-12 (ratio 1e-12),
+        # while [[1, 0], [0, 1e-9]] is diagonal, with ratio 1e-9.
+        near = np.array([[[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1.0, 0.0], [0.0, 1e-9]]])
+        assert np.isfinite(estimation._cholesky(near)).all()
+        inverses = estimation._pd_inverses(near)
+        assert inverses[0] is None
+        assert np.allclose(inverses[1] @ near[1], np.eye(2))
 
 
 def memo_case(case, icm_pattern, free_pattern):

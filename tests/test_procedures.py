@@ -247,6 +247,19 @@ class TestSpecificationSearch:
                 icm_pattern, SampleMoments(population.sigma, n=500), max_freed_per_factor=-1
             )
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected_before_any_fit(
+        self, population, icm_pattern, monkeypatch, threshold
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(procedures, "fit", no_fit)
+        with pytest.raises(StructureError, match="mi_threshold must be finite"):
+            specification_search(
+                icm_pattern, SampleMoments(population.sigma, n=500), mi_threshold=threshold
+            )
+
     def test_requires_sample_size(self, population_moments, icm_pattern):
         with pytest.raises(StructureError, match="sample size"):
             specification_search(icm_pattern, population_moments)
