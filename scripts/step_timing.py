@@ -13,6 +13,12 @@ the set-up's cold start.
   model, per row; a stack takes constraints only at K = 1.
 - ``fit``: one cold ``fit`` with its memo warm (the grid's case), in ms, with
   its BFGS iterations (nit) and evaluations (nfev).
+- ``refit start, 36 rows``: the starting inverse Hessians of a search's 36
+  single-cell refits of the ICM model (free phi) from its solution, with
+  the evaluation at the start that they share with BFGS, in ms.
+- ``fit_each, 36 refits``: those refits solved as one stack, in ms, with
+  the stacked solve's rounds (stacked evaluations, the start's included),
+  the rounds that evaluate a single row, and the row evaluations.
 
 Each time is the best of 7 repeats, in microseconds per evaluation or
 milliseconds per fit.
@@ -35,6 +41,7 @@ from bufcfa import (
     fit,
 )
 from bufcfa import estimation
+from bufcfa.estimation import fit_each
 
 REPEATS = 7
 CALLS = 400
@@ -84,6 +91,38 @@ def fit_counts(model, cset, moments) -> tuple[int, int]:
     return results[0].nit, results[0].nfev
 
 
+def refits(moments):
+    """The search's 36 single-cell refits of the free-phi ICM model, and its solution as their start."""
+    pattern = block_pattern(3, 6, "zero")
+    solution = fit(FactorModel.free_phi(pattern), None, moments)
+    cells = np.argwhere(~pattern.free).tolist()
+    models = [FactorModel.free_phi(pattern.with_cells_freed([cell])) for cell in cells]
+    return models, (solution.lambda_hat, solution.phi_hat, solution.psi_hat)
+
+
+def stack_counts(models, moments, start) -> tuple[int, int, int]:
+    """Rounds, single-row rounds and row evaluations of one ``fit_each``'s stacked solve."""
+    sizes = []
+    bfgs_stack = estimation._bfgs_stack
+
+    def record(objectives, Z0, inverses, gtol, maxiter, first=None):
+        if first is not None:
+            sizes.append(len(Z0))
+
+        def counted(rows, Z):
+            sizes.append(len(rows))
+            return objectives(rows, Z)
+
+        return bfgs_stack(counted, Z0, inverses, gtol, maxiter, first)
+
+    estimation._bfgs_stack = record
+    try:
+        fit_each(models, moments, start)
+    finally:
+        estimation._bfgs_stack = bfgs_stack
+    return len(sizes), sizes.count(1), sum(sizes)
+
+
 def main() -> None:
     population = balanced_population(3, 6, 0.6, 0.2, 0.3)
     _, moments = draw_sample(population.sigma, 300, 11)
@@ -103,6 +142,17 @@ def main() -> None:
         per_fit = best_of(lambda: fit(model, cset, moments), FITS)
         nit, nfev = fit_counts(model, cset, moments)
         print(f"{name:22s} fit          {per_fit * 1e3:8.3f} ms  nit {nit}  nfev {nfev}")
+    models, start = refits(moments)
+    fits = estimation._Fits(models, None, moments)
+    Z0, rows = fits.start(start), range(len(models))
+    per_start = best_of(lambda: fits.start_inverses(rows, Z0, fits.evaluate(rows, Z0)), FITS)
+    print(f"refit start, {len(models)} rows   {per_start * 1e3:8.3f} ms")
+    per_stack = best_of(lambda: fit_each(models, moments, start), FITS // 4)
+    rounds, single, evaluations = stack_counts(models, moments, start)
+    print(
+        f"fit_each, {len(models)} refits  {per_stack * 1e3:8.3f} ms  rounds {rounds}"
+        f"  single-row rounds {single}  row evaluations {evaluations}"
+    )
 
 
 if __name__ == "__main__":

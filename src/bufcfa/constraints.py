@@ -22,7 +22,7 @@ over them, and the Jacobian one scatter into the model's packed positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
@@ -65,6 +65,8 @@ class ConstraintSet:
     """Balance constraints that are all fixed-weight or all self-weighted."""
 
     constraints: tuple[BalanceConstraint, ...]
+    # Jacobian index arrays per packed layout (constraint_jacobian), built on first use.
+    _jacobian_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len({c.weights is None for c in self.constraints}) > 1:
@@ -181,26 +183,55 @@ def constraint_jacobian(
 
     One scatter: each member adds its weight at its unwanted-factor
     loading and, when self-weighted, ``2 s n`` at its salient loading
-    ``s``.  Fixed-weight rows are constant; fixed cells add nothing.
+    ``s``.  Fixed-weight rows are constant; fixed cells add nothing.  The
+    scatter's index arrays depend on the set and the model's layout alone,
+    so they are built once per pair (:func:`_jacobian_plan`), and a call
+    computes only the values.
     """
-    ids, rows, unwanted, blocks, weights = cset.flat
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.n_parameters,):
         raise StructureError(f"parameter vector length {theta.shape} != {model.n_parameters}")
-    cols = model.loading_index[rows, unwanted]
-    values = weights
+    index, values, at = _jacobian_plan(cset, model)
+    if values is None:
+        # Fixed loadings are zero: a position past theta's end reads the 0.0 appended there.
+        padded = np.append(theta, 0.0)
+        s, s_n, n = (padded[positions] for positions in at)
+        values = np.concatenate([1.0 + s**2, 2.0 * s_n * n])
+    jac = np.bincount(index, values, minlength=len(cset) * model.n_parameters)
+    return jac.reshape(len(cset), model.n_parameters)
+
+
+def _jacobian_plan(cset: ConstraintSet, model: FactorModel) -> tuple:
+    """The Jacobian's scatter for one set and packed layout, kept in the set.
+
+    Returns the flat J index of each free entry, in member order (every
+    member's weight entry, then, when self-weighted, every member's salient
+    entry), and the entries' values, constant with fixed weights.  Self-weighted,
+    the values are None, and ``at`` holds the theta positions of ``s`` for
+    the weight entries, and of ``s`` and ``n`` for the salient entries;
+    ``n_parameters`` stands for a fixed loading.
+    """
+    width, loading_index = model.n_parameters, model.loading_index
+    key = width, loading_index.shape, loading_index.tobytes()
+    plan = cset._jacobian_plans.get(key)
+    if plan is not None:
+        return plan
+    ids, rows, unwanted, blocks, weights = cset.flat
+    cols = loading_index[rows, unwanted]
+    at = None
     if weights is None:
-        salient_cols = model.loading_index[rows, blocks]
-        # Fixed loadings are zero; theta[-1] only stands in for them here.
-        s = np.where(salient_cols >= 0, theta[salient_cols], 0.0)
-        n = np.where(cols >= 0, theta[cols], 0.0)
-        ids = np.concatenate([ids, ids])
-        cols = np.concatenate([cols, salient_cols])
-        values = np.concatenate([1.0 + s**2, 2.0 * s * n])
-    free = cols >= 0
-    width = model.n_parameters
-    jac = np.bincount(ids[free] * width + cols[free], values[free], minlength=len(cset) * width)
-    return jac.reshape(len(cset), width)
+        salient_cols = loading_index[rows, blocks]
+        free, salient_free = cols >= 0, salient_cols >= 0
+        s_at = np.where(salient_free, salient_cols, width)
+        at = s_at[free], s_at[salient_free], np.where(free, cols, width)[salient_free]
+        ids = np.concatenate([ids[free], ids[salient_free]])
+        cols = np.concatenate([cols[free], salient_cols[salient_free]])
+    else:
+        free = cols >= 0
+        ids, cols, weights = ids[free], cols[free], weights[free]
+    plan = ids * width + cols, weights, at
+    cset._jacobian_plans[key] = plan
+    return plan
 
 
 @dataclass(frozen=True)

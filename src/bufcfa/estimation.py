@@ -7,8 +7,11 @@ runs over the other parameters with every iterate feasible.  Uniquenesses
 stay above their floor through a log transform, never by clamping.  BFGS
 starts from the inverse of the expected information (the Fisher-scoring
 matrix of F) in the solver's coordinates, or from the identity where that
-is not positive definite.  It tries the full step, then halves it; if no
-step length decreases F enough, scoring steps finish the fit.
+is not positive definite.  It tries the full step, then halves it until F
+decreases enough.  Where F is flat to rounding, a trial F rejects is
+judged by its gradient instead, and a row whose gradient does not fall
+either stops at once; where a row stops short, scoring steps finish the
+fit.
 
 F and its gradient are computed for a stack of parameter points, one
 model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
@@ -20,12 +23,14 @@ product.  :func:`fit` is a stack of one, solved by the one-row generator
 the generator costs less than the stacked state's masks and gathers.  The
 two take every step through the same operations, the rank-2 inverse
 update included (:func:`_update_inverses`, one (n, 2) by (2, n) product).
-The start is batched as well: rows at one start point share one expected
-information over the union of their free parameters
-(:meth:`_Fits.informations`), and the starting inverses are one batched
-inverse (:func:`_pd_inverses`).  So is the finish (:meth:`_Fits.finish`):
-after any per-row scoring steps, every row is unpacked, sign-aligned and
-scored as one stack.  A slice goes through the same operations as a stack
+The start is batched as well (:meth:`_Fits.start_inverses`): rows at one
+start point share one expected information over the union of their free
+parameters, the block of parameters that they start away from zero is
+inverted once, and each row borders that inverse with its own parameters
+that start at zero, through the Schur complement (:func:`_bordered_inverses`):
+a search's 36 refits invert one block, not 36 informations.  So is the
+finish (:meth:`_Fits.finish`): after any per-row scoring steps, every row
+is unpacked, sign-aligned and scored as one stack.  A slice goes through the same operations as a stack
 of one, so those fits are bit-identical to serial :func:`fit` calls.
 
 A row evaluated on its own skips the stack's axis: fit's BFGS, its first
@@ -93,6 +98,12 @@ _INFEASIBLE_F = 1e10
 # Line search: Armijo's sufficient-decrease constant, and halvings before a stall.
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 30
+# F is flat to rounding for a trial whose predicted decrease -a g'd is below
+# _FLAT_RATIO |F|.  F's rounding error is a few 1e-15 on the 3 x 6 models
+# (|F| 5-6), a noise-level g'd reads 5e-15 to 4e-14 there, and a step that
+# halving gets through on merit predicts 1e-4 or more, so the floor sits
+# between the two with an order of magnitude to spare on either side.
+_FLAT_RATIO = 1e-13
 # A fit converges once max|reduced gradient| < GRADIENT_TOL and every
 # constraint residual is below FEASIBILITY_TOL.  MAX_ITERATIONS bounds the
 # whole fit: BFGS iterations plus any finishing scoring steps.
@@ -383,8 +394,9 @@ class _Fits:
     each is solved for its pivot (``choose_pivots``), and BFGS runs over
     the other parameters on the reduced gradient ``g - J' mu``, with
     multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points``,
-    ``evaluate``, ``objectives`` and ``informations`` evaluate the listed
-    rows at their solver points, one row of ``Z`` each, as a stack.
+    ``evaluate``, ``objectives``, ``informations`` and ``start_inverses``
+    evaluate the listed rows at their solver points, one row of ``Z``
+    each, as a stack.
     ``point`` and ``objective`` evaluate one row on its own, with 2-D arrays
     and the row's one-model layout (``row_layouts``): the same operations
     as its slice of a stack, without the stack's axis, so both give the same
@@ -506,70 +518,131 @@ class _Fits:
         grad[self.log_psi] *= theta[self.log_psi] - PSI_FLOOR
         return f, grad[self.keep]
 
-    def informations(self, rows, Z, at=None) -> np.ndarray:
-        """Expected information in z of each listed row, NaN where Sigma is not PD.
+    def _shared_informations(self, rows, Z, at=None):
+        """Per group of rows at one point: the group, its information, each row's positions.
 
-        That is ``T' info T`` with ``T = d theta / d z``: the identity on kept
-        parameters, psi - floor on log-psi, and on each pivot row
-        -J[r, keep] / J[r, pivot].  Rows at one point (lambda, phi, psi) share
-        one information over the union of their free parameters, and each
-        takes its principal submatrix; every entry is the same arithmetic as
-        in the row's own, so a row gets the same bits either way.  ``at`` is
-        the rows' :meth:`evaluate`, if already taken.
+        The rows at one point (lambda, phi, psi) share one expected
+        information in z over the union of their free parameters, and
+        ``positions[i]`` places the group's row i's parameters in it, in the
+        row's order (``(1, n)`` of 0..n-1 for a group of one, over its own).
+        Every entry is the same arithmetic as in the row's own information,
+        so a row gets the same bits either way.  The information is None
+        where Sigma is not PD.  That is ``T' info T`` with
+        ``T = d theta / d z``: the identity on kept parameters, psi - floor
+        on log-psi, and on each pivot row -J[r, keep] / J[r, pivot].
+        Unconstrained, T is diagonal, and scaling the log-psi rows, then
+        columns, gives the product's bits.  ``at`` is the rows'
+        :meth:`evaluate`, if already taken.
         """
         (layout, theta, lam, phi, psi), jac = at or self.evaluate(rows, Z)
         groups = {}
         for r, point in enumerate(zip(lam, phi, psi)):
             groups.setdefault(b"".join(a.tobytes() for a in point), []).append(r)
-        out = np.full((len(rows), Z.shape[1], Z.shape[1]), np.nan)
         for group in groups.values():
             r = group[0]
             cells = layout.loading_rows[r], layout.loading_cols[r]
             pairs = layout.phi_rows[r], layout.phi_cols[r]
+            positions = np.arange(Z.shape[1])[None]
             if len(group) > 1:  # only unconstrained stacks have more rows, so z is theta
                 cells, pairs, positions = layout.take(group).union(psi.shape[1])
             info = _expected_information(cells, pairs, lam[r], phi[r], psi[r])
-            if info is None:
-                continue
-            keep, log_psi = self.keep, self.log_psi
-            T = np.eye(len(info))[:, keep]
-            T[log_psi] *= (theta[r, log_psi] - PSI_FLOOR)[:, None]
-            if self.m:  # only a stack of one takes constraints, so r is 0
-                params = self.pivots.params
-                T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
-            info = T.T @ info @ T
-            if len(group) > 1:
-                info = info[positions[:, :, None], positions[:, None, :]]
-            out[group] = info
+            if info is not None:
+                log_psi, scale = self.log_psi, theta[r, self.log_psi] - PSI_FLOOR
+                if self.m:  # only a stack of one takes constraints, so r is 0
+                    keep, params = self.keep, self.pivots.params
+                    T = np.eye(len(info))[:, keep]
+                    T[log_psi] *= scale[:, None]
+                    T[params] = -jac[:, keep] / jac[np.arange(self.m), params][:, None]
+                    info = T.T @ info @ T
+                else:
+                    info[log_psi] *= scale[:, None]
+                    info[:, log_psi] *= scale
+            yield group, info, positions
+
+    def informations(self, rows, Z, at=None) -> np.ndarray:
+        """Expected information in z of each listed row, NaN where Sigma is not PD.
+
+        Each row's principal submatrix of its group's shared information
+        (:meth:`_shared_informations`).
+        """
+        out = np.full((len(rows), Z.shape[1], Z.shape[1]), np.nan)
+        for group, info, positions in self._shared_informations(rows, Z, at):
+            if info is not None:
+                out[group] = info[positions[:, :, None], positions[:, None, :]]
         return out
+
+    def start_inverses(self, rows, Z, at=None) -> tuple[np.ndarray, np.ndarray]:
+        """Each listed row's starting inverse Hessian (k, n, n), and whether it is the information's.
+
+        The inverse of the row's expected information in z, or the identity
+        where that is not positive definite (``ok`` False).  Per group of
+        rows at one point (:meth:`_shared_informations`), the block of
+        parameters that a row starts away from zero (log-psi always) is
+        inverted once for all the rows with the same block, such as a
+        search's single-cell refits.  Each row then borders that inverse with
+        the loadings and correlations that its start leaves at exactly 0.0
+        (:func:`_bordered_inverses`).  A row alone partitions its parameters
+        the same way, so a stacked row gets its serial fit's bits.
+        ``at`` is the rows' :meth:`evaluate`, if already taken.
+        """
+        n = Z.shape[1]
+        out = np.empty((len(rows), n, n))
+        ok = np.zeros(len(rows), dtype=bool)
+        away = Z != 0.0
+        away[:, self.log_psi] = True
+        for group, info, positions in self._shared_informations(rows, Z, at):
+            if info is None:
+                out[group] = np.eye(n)
+                continue
+            blocks = {}
+            for i, r in enumerate(group):
+                blocks.setdefault(positions[i][away[r]].tobytes(), []).append(i)
+            for members in blocks.values():
+                rows_ = [group[i] for i in members]
+                held = away[rows_]
+                block = positions[members[0]][held[0]]
+                border = positions[members][~held].reshape(len(members), -1)
+                inverses, ok[rows_] = _bordered_inverses(
+                    info[block[:, None], block],
+                    info[block[None, :, None], border[:, None, :]],
+                    info[border[:, :, None], border[:, None, :]],
+                )
+                if border.size:  # from block order (the block, then the border) to the row's own
+                    order = np.where(held, np.cumsum(held, 1), len(block) + np.cumsum(~held, 1)) - 1
+                    stack = np.arange(len(members))[:, None, None]
+                    inverses = inverses[stack, order[:, :, None], order[:, None, :]]
+                out[rows_] = inverses
+        return out, ok
 
     def finish(self, results) -> list[Solution]:
         """Every row's solution from its BFGS result, after any scoring steps.
 
-        Near the optimum the rounding error of F can stall the line search a
-        hair above ``GRADIENT_TOL``.  Scoring steps ``z - information(z)^-1 g``
-        need no function values; each is taken only while it keeps Sigma
-        positive definite and halves the gradient norm.  BFGS iterations and
-        scoring steps share ``MAX_ITERATIONS``.  A row takes its scoring
-        steps on its own; then every row's point is unpacked, sign-aligned
+        Near the optimum, where F is flat to rounding, BFGS can stop a hair
+        above ``GRADIENT_TOL`` (:func:`_bfgs`).  Scoring steps
+        ``z - information(z)^-1 g`` need no function values; each is taken
+        only while it keeps Sigma positive definite and halves the gradient
+        norm.  BFGS iterations and scoring steps share ``MAX_ITERATIONS``.
+        Every row's ``max|g|`` is one reduction, and only the rows at or
+        above ``GRADIENT_TOL`` take scoring steps, each on its own; then every row's point is unpacked, sign-aligned
         and scored (``f_min``) as one stack, and a stack of one as its row
         alone, with the same bits.
         """
-        points, grad_norms, nits = [], [], []
-        for row, result in enumerate(results):
-            z, grad, nit = result.x, result.jac, result.nit
-            while np.max(np.abs(grad)) >= GRADIENT_TOL and nit < MAX_ITERATIONS:
+        points, nits = [result.x for result in results], [result.nit for result in results]
+        grad_norms = np.abs([result.jac for result in results]).max(axis=1)
+        for row in np.flatnonzero(grad_norms >= GRADIENT_TOL).tolist():
+            z, grad, grad_norm, nit = points[row], results[row].jac, grad_norms[row], nits[row]
+            while grad_norm >= GRADIENT_TOL and nit < MAX_ITERATIONS:
                 inverse = _pd_inverses(self.informations([row], z[None]))[0]
                 if inverse is None:
                     break
                 step = z - inverse @ grad
                 f, step_grad = self.objective(step, row)
-                if f >= _INFEASIBLE_F or not np.max(np.abs(step_grad)) < 0.5 * np.max(np.abs(grad)):
+                step_norm = np.abs(step_grad).max()
+                if f >= _INFEASIBLE_F or not step_norm < 0.5 * grad_norm:
                     break
-                z, grad, nit = step, step_grad, nit + 1
-            points.append(z)
-            grad_norms.append(float(np.max(np.abs(grad))))
-            nits.append(nit)
+                z, grad, grad_norm, nit = step, step_grad, step_norm, nit + 1
+            points[row], grad_norms[row], nits[row] = z, grad_norm, nit
+        grad_norms = grad_norms.tolist()
         if len(results) == 1:  # one row on its own, as 2-D arrays
             _, lam, phi, psi = self.point(points[0])
             first, flippable = self.first_salient[0], self.flippable[0]
@@ -626,7 +699,8 @@ def fit(
     if cold is None:
         Z0 = fits.start(start)
         at = fits.evaluate([0], Z0)  # shared by the information and BFGS's first evaluation
-        hess_inv0 = _pd_inverses(fits.informations([0], Z0, at))[0]
+        inverses, ok = fits.start_inverses([0], Z0, at)
+        hess_inv0 = inverses[0] if ok[0] else None
         if key is not None:
             _remember(key, fits.setup, Z0, hess_inv0)
         f0, g0 = fits.objectives([0], Z0, at)
@@ -722,12 +796,12 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
 
     - The start: models whose unpacked start is equal (all of a search's
       single-cell refits, whose freed cells start at zero) share one
-      expected information over the union of their free parameters
-      (:meth:`_Fits.informations`), and the starting inverse Hessians are
-      one batched inverse (:func:`_pd_inverses`); a row whose information
-      is not positive definite starts from the identity.
+      expected information over the union of their free parameters, and
+      the block they all start away from zero is inverted once and
+      bordered per row (:meth:`_Fits.start_inverses`); a row whose
+      information is not positive definite starts from the identity.
     - The solve: one BFGS state for the whole stack (:func:`_bfgs_stack`),
-      whose every round evaluates the rows' trial points in one stacked
+      whose first evaluation is the start's, and whose every round evaluates the rows' trial points in one stacked
       call and updates their inverse Hessians as one batched product.
       :func:`fit`'s one row runs the generator :func:`_bfgs` instead, which
       costs less at one row; both take the same steps and the same update
@@ -739,10 +813,12 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
         return []
     fits = _Fits(models, None, moments)
     Z0 = fits.start(start)
-    # Passed on, not kept: the stacked H becomes the only copy of the inverses.
+    rows = range(len(models))
+    at = fits.evaluate(rows, Z0)  # shared by the inverses and BFGS's first evaluation
+    # Passed on, not kept: the inverses become the stacked H.
     results = _bfgs_stack(
-        fits.objectives, Z0, _pd_inverses(fits.informations(range(len(models)), Z0)),
-        GRADIENT_TOL, MAX_ITERATIONS,
+        fits.objectives, Z0, fits.start_inverses(rows, Z0, at)[0], GRADIENT_TOL, MAX_ITERATIONS,
+        fits.objectives(rows, Z0, at),
     )
     return fits.finish(results)
 
@@ -783,17 +859,21 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     iteration steps along ``d = -H g``: the full step first, halved until
     ``F(z + a d) - F(z) <= c1 a g'd`` (Armijo), tested as a difference so that
     a step too small to change F never passes; a trial at ``_INFEASIBLE_F``
-    simply fails it.  The solve stops once ``max|g| < gtol`` or after
-    ``maxiter`` iterations, and stalls where ``d`` is not downhill or no step
-    passes within ``_MAX_HALVINGS`` halvings.  The rank-2 inverse update
-    (:func:`_update_inverses`) is skipped where ``s'y <= 0``.  Returns a
-    :class:`_BfgsResult`.
+    simply fails it.  A trial that fails it while its predicted decrease
+    ``-a g'd`` is below ``_FLAT_RATIO |F|`` is one that F cannot rank, so its
+    gradient judges it: it passes if it is feasible and lowers ``max|g|``,
+    and otherwise the solve stops there, without halving, and leaves the row
+    to the finish's scoring steps.  The solve
+    stops once ``max|g| < gtol`` or after ``maxiter`` iterations, and stalls
+    where ``d`` is not downhill or no step passes within ``_MAX_HALVINGS``
+    halvings.  The rank-2 inverse update (:func:`_update_inverses`) is
+    skipped where ``s'y <= 0``.  Returns a :class:`_BfgsResult`.
     """
     z = np.asarray(z0, dtype=float)
     f, grad = yield z
     H = np.eye(z.size) if hess_inv0 is None else np.array(hess_inv0, dtype=float)
     nit, nfev = 0, 1
-    while np.abs(grad).max() >= gtol and nit < maxiter:
+    while (grad_max := np.abs(grad).max()) >= gtol and nit < maxiter:
         direction = -(H @ grad)
         slope = grad @ direction
         if not slope < 0:
@@ -805,6 +885,10 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
             nfev += 1
             if f_new - f <= _ARMIJO_C1 * 0.5**halving * slope:
                 break
+            if -(0.5**halving * slope) < _FLAT_RATIO * abs(f):  # F cannot rank it: the gradient does
+                if f_new < _INFEASIBLE_F and np.abs(grad_new).max() < grad_max:
+                    break
+                return _BfgsResult(z, grad, nit, nfev)
         else:
             break
         change = grad_new - grad
@@ -815,50 +899,49 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     return _BfgsResult(z, grad, nit, nfev)
 
 
-def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter) -> list[_BfgsResult]:
+def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter, first=None) -> list[_BfgsResult]:
     """:func:`_bfgs` on every row of ``Z0`` as one state; returns each row's result.
 
     ``objectives(rows, Z)`` gives the F (k,) and gradients (k, n) of the
-    listed rows at the rows of ``Z``; ``inverses`` holds each row's starting
-    inverse Hessian (None for the identity); ``gtol`` and ``maxiter`` are
-    one value or one per row.  The state is arrays over the running rows.
-    Each round takes every row's direction and slope as batched products,
-    evaluates every trial point in one call and tests Armijo's condition on
-    all of them; the rows whose step passed update their slices of the
-    stacked H (:func:`_update_inverses`), and the others halve their step.
-    A row's stopping tests give the same answer in every round in which it
+    listed rows at the rows of ``Z``; ``first`` is its value at ``Z0`` for
+    every row, if the caller has it.  ``inverses`` is the (k, n, n) stack of
+    starting inverse Hessians; it becomes the state's H and is updated in
+    place.  ``gtol`` and ``maxiter`` are one value or one per row.  The state
+    is arrays over the running rows.  Each round takes every row's direction
+    and slope as batched products, evaluates every trial point in one call
+    and tests each row's step as :func:`_bfgs` does, by Armijo's condition
+    and, where that fails with F flat to rounding, by the gradient; the rows
+    whose step passed
+    update their slices of the stacked H (:func:`_update_inverses`), the
+    others halve their step, and a flat row whose step failed stops.  A
+    row's stopping tests give the same answer in every round in which it
     does not move, so all rows are tested every round, and a row leaves in
     the round in which :func:`_bfgs` would stop it.  Each row goes through
     the same BLAS calls as in :func:`_bfgs`, so its result is that of
     ``_bfgs`` on the row alone, bit for bit.  A row's ``nfev`` is one more
-    than the rounds it ran.  ``inverses`` is let go once stacked, so H is the
-    only copy left if the caller keeps none.
+    than the rounds it ran.
     """
     k, n = Z0.shape
     rows = np.arange(k)
-    z = np.array(Z0, dtype=float)
-    H = np.stack([np.eye(n) if inverse is None else inverse for inverse in inverses])
-    del inverses
+    z, H = np.array(Z0, dtype=float), inverses
     gtol, maxiter = np.broadcast_to(gtol, k), np.broadcast_to(maxiter, k)
-    f, grad = objectives(rows, z)
+    f, grad = first or objectives(rows, z)
     nit, halving = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     results: list = [None] * k
     nfev = 1
     while True:
         direction = -(H @ grad[:, :, None])[:, :, 0]
         slope = _dots(grad, direction)
-        going = (
-            (np.abs(grad).max(axis=1) >= gtol) & (nit < maxiter) & (slope < 0)
-            & (halving <= _MAX_HALVINGS)
-        )
+        grad_max = np.abs(grad).max(axis=1)
+        going = (grad_max >= gtol) & (nit < maxiter) & (slope < 0) & (halving <= _MAX_HALVINGS)
         if not going.all():
             for r in np.flatnonzero(~going).tolist():
                 results[rows[r]] = _BfgsResult(z[r].copy(), grad[r].copy(), int(nit[r]), nfev)
             if not going.any():
                 return results
-            rows, z, f, grad, H, direction, slope, nit, halving, gtol, maxiter = (
+            rows, z, f, grad, H, direction, slope, grad_max, nit, halving, gtol, maxiter = (
                 a[going]
-                for a in (rows, z, f, grad, H, direction, slope, nit, halving, gtol, maxiter)
+                for a in (rows, z, f, grad, H, direction, slope, grad_max, nit, halving, gtol, maxiter)
             )
         scale = 0.5**halving
         step = direction * scale[:, None]
@@ -866,6 +949,9 @@ def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter) -> list[_BfgsResult]:
         f_new, grad_new = objectives(rows, trial)
         nfev += 1
         passed = f_new - f <= _ARMIJO_C1 * scale * slope
+        flat = ~passed & (-(scale * slope) < _FLAT_RATIO * np.abs(f))
+        if flat.any():
+            passed |= flat & (f_new < _INFEASIBLE_F) & (np.abs(grad_new).max(axis=1) < grad_max)
         moved = np.flatnonzero(passed)
         if moved.size == len(rows):
             change = grad_new - grad
@@ -873,7 +959,8 @@ def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter) -> list[_BfgsResult]:
         else:
             step, change = step[moved], grad_new[moved] - grad[moved]
             z[moved], f[moved], grad[moved] = trial[moved], f_new[moved], grad_new[moved]
-            halving = np.where(passed, 0, halving + 1)
+            # A flat row whose step failed stops: past the last halving, it leaves next round.
+            halving = np.where(passed, 0, np.where(flat, _MAX_HALVINGS + 1, halving + 1))
         nit[moved] += 1
         curvature = _dots(step, change)
         update = curvature > 0
@@ -923,8 +1010,7 @@ def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:
     fail.  The inverses are one batched ``inv``: each slice is the same
     LAPACK call as the inverse of that matrix alone.
     """
-    squares = np.square(_cholesky_diagonals(matrices))
-    ok = squares.min(axis=-1) > _SINGULAR_RATIO * squares.max(axis=-1)
+    ok = _conditioned(np.square(_cholesky_diagonals(matrices)))
     out: list[Optional[np.ndarray]] = [None] * len(matrices)
     if ok.any():
         inverse = np.linalg.inv(matrices if ok.all() else matrices[ok])
@@ -932,3 +1018,57 @@ def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:
         for r, slice_ in zip(np.flatnonzero(ok).tolist(), inverse):
             out[r] = slice_
     return out
+
+
+def _conditioned(squares: np.ndarray) -> np.ndarray:
+    """Whether each Cholesky factor, given by its squared diagonal (last axis), is well conditioned.
+
+    Its smallest entry must exceed ``_SINGULAR_RATIO`` times its largest;
+    NaN (no factor) fails.
+    """
+    return squares.min(axis=-1) > _SINGULAR_RATIO * squares.max(axis=-1)
+
+
+def _bordered_inverses(A, B, C) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each ``M_r = [[A, B_r], [B_r', C_r]]``, with A's inverse taken once.
+
+    ``A`` is (a, a), shared; ``B`` is (k, a, b) and ``C`` (k, b, b).  Through
+    the Schur complement, as batched per-slice products: ``u = A^-1 B``,
+    ``S = C - B'u`` and ``M^-1 = [[A^-1 + u S^-1 u', -u S^-1], [-S^-1 u', S^-1]]``,
+    with ``A^-1``, ``S^-1`` and the top-left block made exactly symmetric.
+    M's Cholesky factor has A's and then S's on its diagonal, so M passes
+    :func:`_pd_inverses`' test where A and S both factor and their diagonals
+    together are well conditioned (:func:`_conditioned`).  Returns the
+    (k, a + b, a + b) inverses in block order, the identity where M fails,
+    and which rows passed.  With b = 0 every row gets A's inverse, the bits
+    of ``_pd_inverses(A[None])``.
+    """
+    k, a, b = B.shape
+    out = np.empty((k, a + b, a + b))
+    squares_A = np.square(_cholesky_diagonals(A))
+    if not _conditioned(squares_A):
+        out[:] = np.eye(a + b)
+        return out, np.zeros(k, dtype=bool)
+    A_inv = np.linalg.inv(A)
+    A_inv = (A_inv + A_inv.T) / 2.0
+    if b == 0:
+        out[:] = A_inv
+        return out, np.ones(k, dtype=bool)
+    u = A_inv @ B
+    S = C - B.swapaxes(-1, -2) @ u
+    squares_S = np.square(_cholesky_diagonals(S))
+    ok = _conditioned(np.concatenate([np.broadcast_to(squares_A, (k, a)), squares_S], axis=1))
+    out[~ok] = np.eye(a + b)
+    if not ok.any():
+        return out, ok
+    passed = slice(None) if ok.all() else np.flatnonzero(ok)
+    u, S = u[passed], S[passed]
+    S_inv = np.linalg.inv(S)
+    S_inv = (S_inv + S_inv.swapaxes(-1, -2)) / 2.0
+    v = u @ S_inv
+    top = A_inv + v @ u.swapaxes(-1, -2)
+    out[passed, :a, :a] = (top + top.swapaxes(-1, -2)) / 2.0
+    out[passed, :a, a:] = -v
+    out[passed, a:, :a] = -v.swapaxes(-1, -2)
+    out[passed, a:, a:] = S_inv
+    return out, ok

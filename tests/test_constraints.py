@@ -16,7 +16,7 @@ from bufcfa.constraints import (
     swap_members,
 )
 from bufcfa.errors import StructureError
-from bufcfa.model import FactorModel, pack, unpack
+from bufcfa.model import FactorModel, LoadingPattern, pack, unpack
 from bufcfa.simulation import balanced_population, block_pattern
 
 
@@ -32,6 +32,24 @@ def finite_difference_jacobian(cset, theta, model, h=1e-6):
             - evaluate_lambda(cset, unpack(model, down)[0])
         ) / (2 * h)
     return jac
+
+
+def rebuilt_jacobian(cset, theta, model):
+    """The Jacobian with its index arrays rebuilt from the set on every call."""
+    ids, rows, unwanted, blocks, weights = cset.flat
+    cols = model.loading_index[rows, unwanted]
+    values = weights
+    if weights is None:
+        salient_cols = model.loading_index[rows, blocks]
+        s = np.where(salient_cols >= 0, theta[salient_cols], 0.0)
+        n = np.where(cols >= 0, theta[cols], 0.0)
+        ids = np.concatenate([ids, ids])
+        cols = np.concatenate([cols, salient_cols])
+        values = np.concatenate([1.0 + s**2, 2.0 * s * n])
+    free = cols >= 0
+    width = model.n_parameters
+    jac = np.bincount(ids[free] * width + cols[free], values[free], minlength=len(cset) * width)
+    return jac.reshape(len(cset), width)
 
 
 class TestBuilders:
@@ -176,6 +194,29 @@ class TestJacobian:
             fd = finite_difference_jacobian(cset, theta, model)
             worst = max(worst, float(np.max(np.abs(jac - fd))))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("mode", ["fixed", "self"])
+    def test_built_once_per_layout_with_the_same_bits(self, free_pattern, mode):
+        # One set on three layouts: free phi, fixed phi (three parameters
+        # fewer), and free phi with some member loadings fixed at zero.
+        free = np.array(free_pattern.free)
+        free[[1, 8, 15], [1, 2, 0]] = False
+        models = [
+            FactorModel.free_phi(free_pattern),
+            FactorModel.fixed_phi(free_pattern, 0.3),
+            FactorModel.free_phi(LoadingPattern(free_pattern.salient, free)),
+        ]
+        if mode == "fixed":
+            cset = build_fixed_weight_constraints(free_pattern, 0.5 + 0.01 * np.arange(18))
+        else:
+            cset = build_one_step_constraints(free_pattern)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            for model in models:
+                theta = rng.uniform(-0.8, 0.8, size=model.n_parameters)
+                jac = constraint_jacobian(cset, theta, model)
+                assert jac.tobytes() == rebuilt_jacobian(cset, theta, model).tobytes()
+        assert len(cset._jacobian_plans) == len(models)
 
     def test_full_row_rank_at_generic_points(self, free_pattern):
         model = FactorModel.free_phi(free_pattern)
