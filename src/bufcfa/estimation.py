@@ -8,10 +8,10 @@ stay above their floor through a log transform, never by clamping.  BFGS
 starts from the inverse of the expected information (the Fisher-scoring
 matrix of F) in the solver's coordinates, or from the identity where that
 is not positive definite.  It tries the full step, then halves it until F
-decreases enough.  Where F is flat to rounding, a trial F rejects is
-judged by its gradient instead, and a row whose gradient does not fall
-either stops at once; where a row stops short, scoring steps finish the
-fit.
+decreases enough.  Where F is flat to rounding, a trial F rejects passes
+if F changed by no more than rounding and the gradient fell, and
+otherwise the row stops at once; where a row stops short, scoring steps
+finish the fit.
 
 F and its gradient are computed for a stack of parameter points, one
 model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
@@ -102,7 +102,8 @@ _MAX_HALVINGS = 30
 # _FLAT_RATIO |F|.  F's rounding error is a few 1e-15 on the 3 x 6 models
 # (|F| 5-6), a noise-level g'd reads 5e-15 to 4e-14 there, and a step that
 # halving gets through on merit predicts 1e-4 or more, so the floor sits
-# between the two with an order of magnitude to spare on either side.
+# between the two with an order of magnitude to spare on either side.  Such a
+# trial's F must also stay within the floor of F to pass on its gradient.
 _FLAT_RATIO = 1e-13
 # A fit converges once max|reduced gradient| < GRADIENT_TOL and every
 # constraint residual is below FEASIBILITY_TOL.  MAX_ITERATIONS bounds the
@@ -563,7 +564,9 @@ class _Fits:
         """Expected information in z of each listed row, NaN where Sigma is not PD.
 
         Each row's principal submatrix of its group's shared information
-        (:meth:`_shared_informations`).
+        (:meth:`_shared_informations`).  The fits invert it through
+        :meth:`start_inverses`; this whole matrix is the reference that
+        those inverses are tested against.
         """
         out = np.full((len(rows), Z.shape[1], Z.shape[1]), np.nan)
         for group, info, positions in self._shared_informations(rows, Z, at):
@@ -619,23 +622,25 @@ class _Fits:
 
         Near the optimum, where F is flat to rounding, BFGS can stop a hair
         above ``GRADIENT_TOL`` (:func:`_bfgs`).  Scoring steps
-        ``z - information(z)^-1 g`` need no function values; each is taken
-        only while it keeps Sigma positive definite and halves the gradient
-        norm.  BFGS iterations and scoring steps share ``MAX_ITERATIONS``.
-        Every row's ``max|g|`` is one reduction, and only the rows at or
-        above ``GRADIENT_TOL`` take scoring steps, each on its own; then every row's point is unpacked, sign-aligned
-        and scored (``f_min``) as one stack, and a stack of one as its row
-        alone, with the same bits.
+        ``z - information(z)^-1 g`` need no function values; the inverse is
+        the start's (:meth:`start_inverses` on the row alone), and each step
+        is taken only while that information is positive definite, the step
+        keeps Sigma positive definite and it halves the gradient norm.  BFGS
+        iterations and scoring steps share ``MAX_ITERATIONS``.  Every row's
+        ``max|g|`` is one reduction, and only the rows at or above
+        ``GRADIENT_TOL`` take scoring steps, each on its own; then every
+        row's point is unpacked, sign-aligned and scored (``f_min``) as one
+        stack, and a stack of one as its row alone, with the same bits.
         """
         points, nits = [result.x for result in results], [result.nit for result in results]
         grad_norms = np.abs([result.jac for result in results]).max(axis=1)
         for row in np.flatnonzero(grad_norms >= GRADIENT_TOL).tolist():
             z, grad, grad_norm, nit = points[row], results[row].jac, grad_norms[row], nits[row]
             while grad_norm >= GRADIENT_TOL and nit < MAX_ITERATIONS:
-                inverse = _pd_inverses(self.informations([row], z[None]))[0]
-                if inverse is None:
+                inverses, ok = self.start_inverses([row], z[None])
+                if not ok[0]:
                     break
-                step = z - inverse @ grad
+                step = z - inverses[0] @ grad
                 f, step_grad = self.objective(step, row)
                 step_norm = np.abs(step_grad).max()
                 if f >= _INFEASIBLE_F or not step_norm < 0.5 * grad_norm:
@@ -861,10 +866,10 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     a step too small to change F never passes; a trial at ``_INFEASIBLE_F``
     simply fails it.  A trial that fails it while its predicted decrease
     ``-a g'd`` is below ``_FLAT_RATIO |F|`` is one that F cannot rank, so its
-    gradient judges it: it passes if it is feasible and lowers ``max|g|``,
-    and otherwise the solve stops there, without halving, and leaves the row
-    to the finish's scoring steps.  The solve
-    stops once ``max|g| < gtol`` or after ``maxiter`` iterations, and stalls
+    gradient judges it: it passes if F rose by no more than that floor (so it
+    is feasible) and ``max|g|`` fell, and otherwise the solve stops there,
+    without halving, and leaves the row to the finish's scoring steps.  The
+    solve stops once ``max|g| < gtol`` or after ``maxiter`` iterations, and stalls
     where ``d`` is not downhill or no step passes within ``_MAX_HALVINGS``
     halvings.  The rank-2 inverse update (:func:`_update_inverses`) is
     skipped where ``s'y <= 0``.  Returns a :class:`_BfgsResult`.
@@ -886,7 +891,7 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
             if f_new - f <= _ARMIJO_C1 * 0.5**halving * slope:
                 break
             if -(0.5**halving * slope) < _FLAT_RATIO * abs(f):  # F cannot rank it: the gradient does
-                if f_new < _INFEASIBLE_F and np.abs(grad_new).max() < grad_max:
+                if f_new - f <= _FLAT_RATIO * abs(f) and np.abs(grad_new).max() < grad_max:
                     break
                 return _BfgsResult(z, grad, nit, nfev)
         else:
@@ -910,13 +915,13 @@ def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter, first=None) -> list[_Bf
     is arrays over the running rows.  Each round takes every row's direction
     and slope as batched products, evaluates every trial point in one call
     and tests each row's step as :func:`_bfgs` does, by Armijo's condition
-    and, where that fails with F flat to rounding, by the gradient; the rows
-    whose step passed
-    update their slices of the stacked H (:func:`_update_inverses`), the
-    others halve their step, and a flat row whose step failed stops.  A
-    row's stopping tests give the same answer in every round in which it
-    does not move, so all rows are tested every round, and a row leaves in
-    the round in which :func:`_bfgs` would stop it.  Each row goes through
+    and, where that fails with F flat to rounding, by F's change and the
+    gradient; the rows whose step passed update their slices of the stacked
+    H (:func:`_update_inverses`), the others halve their step, and a flat
+    row whose step failed stops.  A row's stopping tests give the same
+    answer in every round in which it does not move, so all rows are tested
+    every round, and a row leaves in the round in which :func:`_bfgs` would
+    stop it.  Each row goes through
     the same BLAS calls as in :func:`_bfgs`, so its result is that of
     ``_bfgs`` on the row alone, bit for bit.  A row's ``nfev`` is one more
     than the rounds it ran.
@@ -951,7 +956,8 @@ def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter, first=None) -> list[_Bf
         passed = f_new - f <= _ARMIJO_C1 * scale * slope
         flat = ~passed & (-(scale * slope) < _FLAT_RATIO * np.abs(f))
         if flat.any():
-            passed |= flat & (f_new < _INFEASIBLE_F) & (np.abs(grad_new).max(axis=1) < grad_max)
+            level = f_new - f <= _FLAT_RATIO * np.abs(f)
+            passed |= flat & level & (np.abs(grad_new).max(axis=1) < grad_max)
         moved = np.flatnonzero(passed)
         if moved.size == len(rows):
             change = grad_new - grad
@@ -999,27 +1005,6 @@ def _update_inverses(H, step, change, curvature) -> None:
     H += P @ Q.swapaxes(-1, -2)
 
 
-def _pd_inverses(matrices: np.ndarray) -> list[Optional[np.ndarray]]:
-    """Exactly symmetric inverse of each positive definite matrix in a stack, else None.
-
-    Positive definite means that the Cholesky factor exists
-    (:func:`_cholesky_diagonals`, which factors slice by slice once a slice
-    fails) and is well conditioned: its smallest squared diagonal entry
-    exceeds ``_SINGULAR_RATIO`` times its largest.  A NaN slice fails, and
-    so does one singular up to rounding, whose inverse would be huge or
-    fail.  The inverses are one batched ``inv``: each slice is the same
-    LAPACK call as the inverse of that matrix alone.
-    """
-    ok = _conditioned(np.square(_cholesky_diagonals(matrices)))
-    out: list[Optional[np.ndarray]] = [None] * len(matrices)
-    if ok.any():
-        inverse = np.linalg.inv(matrices if ok.all() else matrices[ok])
-        inverse = (inverse + inverse.transpose(0, 2, 1)) / 2.0
-        for r, slice_ in zip(np.flatnonzero(ok).tolist(), inverse):
-            out[r] = slice_
-    return out
-
-
 def _conditioned(squares: np.ndarray) -> np.ndarray:
     """Whether each Cholesky factor, given by its squared diagonal (last axis), is well conditioned.
 
@@ -1036,12 +1021,14 @@ def _bordered_inverses(A, B, C) -> tuple[np.ndarray, np.ndarray]:
     the Schur complement, as batched per-slice products: ``u = A^-1 B``,
     ``S = C - B'u`` and ``M^-1 = [[A^-1 + u S^-1 u', -u S^-1], [-S^-1 u', S^-1]]``,
     with ``A^-1``, ``S^-1`` and the top-left block made exactly symmetric.
-    M's Cholesky factor has A's and then S's on its diagonal, so M passes
-    :func:`_pd_inverses`' test where A and S both factor and their diagonals
-    together are well conditioned (:func:`_conditioned`).  Returns the
-    (k, a + b, a + b) inverses in block order, the identity where M fails,
-    and which rows passed.  With b = 0 every row gets A's inverse, the bits
-    of ``_pd_inverses(A[None])``.
+    M counts as positive definite where its Cholesky factor exists and is
+    well conditioned (:func:`_conditioned`); that factor has A's and then
+    S's on its diagonal, so M passes where A and S both factor and their
+    diagonals together pass.  A matrix that fails (NaN, indefinite, or
+    singular up to rounding, whose inverse would be huge or fail) gets the
+    identity.  Returns the (k, a + b, a + b) inverses in block order and
+    which rows passed.  With b = 0 every row gets A's inverse,
+    ``inv(A)`` made exactly symmetric.
     """
     k, a, b = B.shape
     out = np.empty((k, a + b, a + b))

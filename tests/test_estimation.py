@@ -598,27 +598,38 @@ class TestExpectedInformation:
         assert estimation._expected_information(cells, pairs, lam, phi, np.full(18, 0.01)) is None
 
     def test_batched_inverse_falls_back_slice_by_slice(self):
-        # Slice 1 is indefinite and slice 3 is NaN (Sigma not PD): those two
-        # alone get None; every other slice is the per-matrix inverse.
+        # Five borders of one block: row 1's Schur complement is indefinite
+        # and row 3's border is NaN.  Those two alone get the identity; every
+        # other row is its matrix's inverse, with the bits of that row alone.
         rng = np.random.default_rng(5)
-        factors = rng.normal(size=(5, 6, 9))
-        stack = factors @ factors.transpose(0, 2, 1)
-        stack[1] -= 100.0 * np.eye(6)
-        stack[3] = np.nan
-        inverses = estimation._pd_inverses(stack)
-        assert [inverse is None for inverse in inverses] == [False, True, False, True, False]
+        factor = rng.normal(size=(4, 9))
+        A = factor @ factor.T
+        B = rng.normal(size=(5, 4, 2))
+        factors = rng.normal(size=(5, 2, 5))
+        C = B.swapaxes(1, 2) @ np.linalg.solve(A, B) + factors @ factors.swapaxes(1, 2)
+        C[1] -= 100.0 * np.eye(2)
+        C[3] = np.nan
+        inverses, ok = estimation._bordered_inverses(A, B, C)
+        assert ok.tolist() == [True, False, True, False, True]
+        for r in (1, 3):
+            assert np.array_equal(inverses[r], np.eye(6))
         for r in (0, 2, 4):
-            single = np.linalg.inv(stack[r])
-            assert inverses[r].tobytes() == ((single + single.T) / 2.0).tobytes()
-            assert inverses[r].tobytes() == estimation._pd_inverses(stack[r : r + 1])[0].tobytes()
+            M = np.block([[A, B[r]], [B[r].T, C[r]]])
+            assert relative_gap(inverses[r], np.linalg.inv(M)) <= 1e-13
+            alone, _ = estimation._bordered_inverses(A, B[r : r + 1], C[r : r + 1])
+            assert inverses[r].tobytes() == alone[0].tobytes()
 
     def test_identity_fallback_only_without_positive_definite_information(self):
-        # A NaN slice is the information where Sigma is not positive definite.
-        assert estimation._pd_inverses(np.full((1, 2, 2), np.nan)) == [None]
-        assert estimation._pd_inverses(np.diag([1.0, -1.0])[None]) == [None]
-        inverse = estimation._pd_inverses(np.array([[[4.0, 1.0], [1.0, 3.0]]]))[0]
-        assert np.array_equal(inverse, inverse.T)
-        assert np.allclose(inverse @ np.array([[4.0, 1.0], [1.0, 3.0]]), np.eye(2))
+        # A NaN matrix is an information where Sigma is not positive definite.
+        for matrix in (np.full((2, 2), np.nan), np.diag([1.0, -1.0])):
+            inverses, ok = unbordered_inverses(matrix)
+            assert ok.tolist() == [False]
+            assert np.array_equal(inverses[0], np.eye(2))
+        matrix = np.array([[4.0, 1.0], [1.0, 3.0]])
+        inverses, ok = unbordered_inverses(matrix)
+        assert ok.tolist() == [True]
+        assert np.array_equal(inverses[0], inverses[0].T)
+        assert np.allclose(inverses[0] @ matrix, np.eye(2))
 
     def test_every_solve_starts_from_the_information(
         self, population_moments, free_pattern, monkeypatch, empty_memo
@@ -667,6 +678,11 @@ class TestExpectedInformation:
 
 def relative_gap(inverse, dense):
     return np.max(np.abs(inverse - dense)) / np.max(np.abs(dense))
+
+
+def unbordered_inverses(A, k=1):
+    """``_bordered_inverses`` of ``k`` rows that all start away from zero (b = 0)."""
+    return estimation._bordered_inverses(A, np.empty((k, len(A), 0)), np.empty((k, 0, 0)))
 
 
 class TestStartInverses:
@@ -719,10 +735,11 @@ class TestStartInverses:
         rng = np.random.default_rng(10)
         factor = rng.normal(size=(5, 8))
         A = factor @ factor.T
-        inverses, ok = estimation._bordered_inverses(A, np.empty((2, 5, 0)), np.empty((2, 0, 0)))
+        inverses, ok = unbordered_inverses(A, 2)
         assert ok.tolist() == [True, True]
+        plain = np.linalg.inv(A)
         for inverse in inverses:
-            assert inverse.tobytes() == estimation._pd_inverses(A[None])[0].tobytes()
+            assert inverse.tobytes() == ((plain + plain.T) / 2.0).tobytes()
 
     @pytest.mark.parametrize("phi_spec", ["free", 0.3])
     def test_refit_start_inverts_one_common_block(
@@ -836,7 +853,7 @@ class TestMinimize:
 
 class TestBfgsStack:
     def test_rows_with_different_stops_equal_their_own_solves(self):
-        # TestMinimize's objectives as one stack of seven rows in six
+        # TestMinimize's objectives as one stack of eight rows in six
         # dimensions: each stops for its own reason while the others run.
         A, b, quadratic = convex_quadratic()
         c = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
@@ -852,6 +869,12 @@ class TestBfgsStack:
             # trial: two Newton steps lower max|g|, the third does not.
             return 5.0, A @ z - 1e-7 * b
 
+        def rising(z):
+            # The same gradient, but F rises 1e-10 on the first step, far
+            # above the floor, though that step lowers max|g|: F's rise
+            # rules the trial out, so the row stops without halving.
+            return 5.0 + 1e-3 * np.linalg.norm(z), A @ z - 1e-7 * b
+
         # The identity row's gtol is looser than TestMinimize's, so that a
         # stack that read another row's tolerance would stop it elsewhere.
         rows = {  # objective, hess_inv0, gtol, maxiter
@@ -862,6 +885,7 @@ class TestBfgsStack:
             "no descent": (lambda z: (1.0, np.ones_like(z)), None, 1e-7, 50),
             "uphill": (quadratic, -np.eye(6), 1e-7, 50),
             "F flat to rounding": (at_the_floor, np.linalg.inv(A), 1e-25, 50),
+            "F rises at the floor": (rising, np.linalg.inv(A), 1e-25, 50),
         }
         objectives_, inverses, gtols, maxiters = zip(*rows.values())
         evaluated = []
@@ -873,7 +897,7 @@ class TestBfgsStack:
 
         stack = np.stack([np.eye(6) if inverse is None else inverse for inverse in inverses])
         stacked = estimation._bfgs_stack(
-            objectives, np.zeros((7, 6)), stack, np.array(gtols), np.array(maxiters)
+            objectives, np.zeros((8, 6)), stack, np.array(gtols), np.array(maxiters)
         )
         for (name, (objective, inverse, gtol, maxiter)), result in zip(rows.items(), stacked):
             alone = estimation.minimize(
@@ -885,10 +909,10 @@ class TestBfgsStack:
         # The round in which each row was evaluated last: the uphill row
         # leaves before any trial and the exact row after one step; the
         # capped row and the ball's converged row leave in the same round,
-        # the no-descent row after every halving, and the flat row after
-        # its first failed trial, with no halving.
-        last = [max(i for i, listed in enumerate(evaluated) if r in listed) for r in range(7)]
-        assert last == [1, 13, 3, 3, estimation._MAX_HALVINGS + 1, 0, 3]
+        # the no-descent row after every halving, and the flat rows after
+        # their first failed trial, with no halving.
+        last = [max(i for i, listed in enumerate(evaluated) if r in listed) for r in range(8)]
+        assert last == [1, 13, 3, 3, estimation._MAX_HALVINGS + 1, 0, 3, 1]
         assert [result.nit for result in stacked][:3] == [1, 12, 2]
         assert 1e-7 < np.max(np.abs(stacked[1].jac)) < 1e-4
         assert np.max(np.abs(stacked[2].jac)) > 1e-7
@@ -897,6 +921,8 @@ class TestBfgsStack:
         assert (stacked[6].nit, stacked[6].nfev) == (2, 4)
         assert np.max(np.abs(stacked[6].jac)) < 1e-22
         assert np.allclose(stacked[6].x, 1e-7 * np.linalg.solve(A, b), rtol=1e-12, atol=0.0)
+        assert (stacked[7].nit, stacked[7].nfev) == (0, 2)
+        assert not stacked[7].x.any()
 
 
 def single_cell_refits(pattern, phi_spec):
@@ -944,6 +970,24 @@ def record_information_sizes(monkeypatch):
     return sizes
 
 
+def cap_iterations(monkeypatch, model, maxiter):
+    """Cut the BFGS of every fit of ``model`` off after ``maxiter`` iterations,
+    as a row of a stack (``_bfgs_stack``) and alone (``minimize``)."""
+    bfgs_stack, minimize = estimation._bfgs_stack, estimation.minimize
+
+    def capped_stack(objectives, Z0, inverses, gtol, maxiters, first=None):
+        capped = [row is model for row in objectives.__self__.models]
+        return bfgs_stack(objectives, Z0, inverses, gtol, np.where(capped, maxiter, maxiters), first)
+
+    def capped(objective, z0, **kwargs):
+        if objective.__self__.models[0] is model:
+            kwargs["maxiter"] = maxiter
+        return minimize(objective, z0, **kwargs)
+
+    monkeypatch.setattr(estimation, "_bfgs_stack", capped_stack)
+    monkeypatch.setattr(estimation, "minimize", capped)
+
+
 def assert_equal_to_serial_fits(solutions, models, moments, start):
     assert len(solutions) == len(models)
     for solution, model in zip(solutions, models):
@@ -971,17 +1015,19 @@ class TestFitEach:
         if case == "far-off start":
             moments, start, models = far_off_start(data_dir, icm_pattern)
         else:
-            # Refit 11 of this sample reaches F's rounding floor after 10 BFGS
-            # iterations: its next full step predicts a decrease below the
-            # floor, fails Armijo's test on rounding noise and passes on its
-            # gradient, with no halving.  Without the floor rule F alone
-            # halves it once.  The stall PR 22's seed scan found (refit 3 of
-            # seed 285) no longer occurs: a scan of this set-up on seeds
-            # 0-11999 found no row whose BFGS ended with max|g| >= GRADIENT_TOL.
+            # Refit 3's BFGS is cut off after 3 iterations, stacked and
+            # serial alike, so that scoring steps must finish it while the
+            # other rows need none.  Refit 11 reaches F's rounding floor
+            # after 10 BFGS iterations: its next full step predicts a
+            # decrease below the floor, fails Armijo's test on rounding noise
+            # and passes on its gradient, with no halving.  Without the floor
+            # rule F alone halves it once.
             _, moments = draw_sample(balanced_population(3, 6, 0.6, 0.2, 0.3).sigma, 300, 11)
             icm_model, models = single_cell_refits(icm_pattern, 0.3)
             icm_solution = fit(icm_model, None, moments)
             start = icm_solution.lambda_hat, icm_solution.phi_hat, icm_solution.psi_hat
+            uncapped = fit_each(models, moments, start)
+            cap_iterations(monkeypatch, models[3], 3)
         rounds, overflowed, finishes = [], [], []
         evaluate, finish = estimation._discrepancy_and_gradient, estimation._Fits.finish
 
@@ -995,10 +1041,10 @@ class TestFitEach:
             finishes.extend(zip(results, finished))
             return finished
 
-        monkeypatch.setattr(estimation, "_discrepancy_and_gradient", record)
-        monkeypatch.setattr(estimation._Fits, "finish", record_finish)
-        solutions = fit_each(models, moments, start)
-        monkeypatch.undo()
+        with monkeypatch.context() as spies:
+            spies.setattr(estimation, "_discrepancy_and_gradient", record)
+            spies.setattr(estimation._Fits, "finish", record_finish)
+            solutions = fit_each(models, moments, start)
         stacked = [size for size in rounds if size > 1]
         assert stacked[0] == len(models) and len(set(stacked)) > 2
         assert [result.nfev for result, _ in finishes] != [finishes[0][0].nfev] * len(models)
@@ -1006,14 +1052,28 @@ class TestFitEach:
             assert any(overflowed)
             assert solutions[0].n_iterations == 130
         else:
+            # Only the capped row's BFGS ends above GRADIENT_TOL, and scoring
+            # steps finish it; every other row is the uncapped stack's.
+            ended = [np.max(np.abs(result.jac)) for result, _ in finishes]
+            assert [r for r, norm in enumerate(ended) if norm >= estimation.GRADIENT_TOL] == [3]
+            result, finished = finishes[3]
+            assert result.nit == 3
+            assert finished.n_iterations > result.nit
+            assert finished.gradient_norm < estimation.GRADIENT_TOL
+            assert uncapped[3].n_iterations != finished.n_iterations
+            for r, (solution, other) in enumerate(zip(solutions, uncapped)):
+                if r != 3:
+                    assert solution.f_min == other.f_min
+                    assert np.array_equal(solution.lambda_hat, other.lambda_hat)
+                    assert solution.n_iterations == other.n_iterations
             result, finished = finishes[11]
             assert (result.nit, result.nfev) == (11, 12)
-            assert finished.gradient_norm < estimation.GRADIENT_TOL
+            assert finished.n_iterations == result.nit
             finishes.clear()
-            monkeypatch.setattr(estimation, "_FLAT_RATIO", 0.0)
-            monkeypatch.setattr(estimation._Fits, "finish", record_finish)
-            fit_each(models, moments, start)
-            monkeypatch.undo()
+            with monkeypatch.context() as floorless:
+                floorless.setattr(estimation, "_FLAT_RATIO", 0.0)
+                floorless.setattr(estimation._Fits, "finish", record_finish)
+                fit_each(models, moments, start)
             assert (finishes[11][0].nit, finishes[11][0].nfev) == (11, 13)
         assert all(solution.converged for solution in solutions)
         assert_equal_to_serial_fits(solutions, models, moments, start)
@@ -1285,9 +1345,11 @@ class TestSingularStart:
         # while [[1, 0], [0, 1e-9]] is diagonal, with ratio 1e-9.
         near = np.array([[[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1.0, 0.0], [0.0, 1e-9]]])
         assert np.isfinite(estimation._cholesky(near)).all()
-        inverses = estimation._pd_inverses(near)
-        assert inverses[0] is None
-        assert np.allclose(inverses[1] @ near[1], np.eye(2))
+        inverses, ok = unbordered_inverses(near[0])
+        assert ok.tolist() == [False] and np.array_equal(inverses[0], np.eye(2))
+        inverses, ok = unbordered_inverses(near[1])
+        assert ok.tolist() == [True]
+        assert np.allclose(inverses[0] @ near[1], np.eye(2))
 
 
 def memo_case(case, icm_pattern, free_pattern):
