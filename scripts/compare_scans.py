@@ -19,11 +19,14 @@ from pathlib import Path
 
 
 def read_scan(path) -> dict[tuple[str, str], list[str]]:
-    """Each line's fields, keyed by (sample, procedure); ``align`` lines too."""
+    """Each line's fields, keyed by (sample, procedure); ``align`` lines too.
+
+    Lines that start with ``#`` (a reference file's header) are skipped.
+    """
     lines = {}
     for line in Path(path).read_text().splitlines():
         fields = line.split()
-        if fields:
+        if fields and not fields[0].startswith("#"):
             lines[fields[0], fields[1]] = fields[2:]
     return lines
 

@@ -1,6 +1,7 @@
 """Print a fingerprint of every procedure's result over a fixed set of samples.
 
     PYTHONPATH=src python3 scripts/equivalence_scan.py > scan.txt
+    PYTHONPATH=src python3 scripts/equivalence_scan.py --samples 20 > subset.txt
 
 Each sample is an n = 300 draw from the population of
 ``data/population_corr.dat`` (``draw_sample`` with ``SeedSequence([777, s])``).
@@ -23,11 +24,14 @@ so that non-identity assignments run on real estimates too.
 
 Two versions of the library give identical results on these samples
 exactly when the outputs are identical: point PYTHONPATH at each version's
-``src`` and ``diff`` the two files.
+``src`` and ``diff`` the two files.  ``--samples K`` scans samples 0 to
+K - 1 only; tier-1 compares the first 20 with the committed reference,
+``tests/reference/scan.txt`` (``scripts/write_references.py``).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 from pathlib import Path
 
@@ -107,12 +111,15 @@ def alignment_fingerprint(traces, lam_pop) -> str:
     return digest.hexdigest()
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Fingerprint every procedure over fixed samples.")
+    parser.add_argument("--samples", type=int, default=SAMPLES, help=f"samples to scan (default {SAMPLES})")
+    samples = parser.parse_args(argv).samples
     population = read_correlation_matrix(DATA / "population_corr.dat").S
     # The generator behind population_corr.dat.
     lam_pop = balanced_population(3, 6, 0.6, 0.15, 0.3).lam
     pattern = block_pattern(3, 6, "zero")
-    for s in range(SAMPLES):
+    for s in range(samples):
         _, moments = draw_sample(population, 300, np.random.SeedSequence([777, s]))
         traces = {}
         for name, run in PROCEDURES.items():

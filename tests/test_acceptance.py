@@ -25,7 +25,9 @@ because rotation absorbs it, and with self-weighted constraints .045.
 """
 
 import dataclasses
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +290,31 @@ def test_simulation_invariant_accuracy_profile(desk_grid):
         buf = [cells[a].buffered_loading_rmsd_mean for a in (0.0, 0.10, 0.20)]
         assert max(buf) / min(buf) < 1.5
         assert cells[0.20].icm_loading_rmsd_mean >= 2.0 * cells[0.0].icm_loading_rmsd_mean
+
+
+# The largest change of a desk-grid cell mean that a result-preserving change
+# has shown (rounding-level moves of single fits, averaged over a cell).
+DESK_MEAN_TOL = 1.69e-11
+
+
+def test_desk_grid_matches_the_reference(desk_grid):
+    """The criterion-7 grid gives the committed reference's cells.
+
+    Every cell's design, replication and convergence counts are equal, and
+    every metric mean is within ``DESK_MEAN_TOL``.  The reference,
+    ``tests/reference/desk_grid.json``, holds for the numpy and BLAS build
+    it names; ``scripts/write_references.py`` regenerates it from
+    ``data/accuracy_grid.grid``, this fixture's design.
+    """
+    reference = json.loads((Path(__file__).parent / "reference" / "desk_grid.json").read_text())
+    summaries, _, _ = desk_grid
+    assert len(summaries) == len(reference["cells"]), reference["build"]
+    for summary, cell in zip(summaries, reference["cells"]):
+        for name, value in cell.items():
+            if name.endswith("_mean"):
+                assert abs(getattr(summary, name) - value) <= DESK_MEAN_TOL, (name, cell)
+            else:
+                assert getattr(summary, name) == value, (name, cell, reference["build"])
 
 
 def test_criterion_8a_gradient_versus_finite_differences(population):

@@ -1,10 +1,21 @@
 """The development scripts under ``scripts/``, run as a user runs them."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+REFERENCE = Path(__file__).resolve().parent / "reference"
+sys.path.insert(0, str(SCRIPTS))
+
+from compare_scans import read_scan  # noqa: E402
+
+# The largest |dF| any result-preserving change has shown on the scan is
+# 1.07e-14 (a rank-2 update written as a matrix product, and a block-wise
+# start inverse); rounding-level changes stay below this bound.
+SCAN_F_TOL = 1e-13
 
 PARENT = """\
 0 icm 0x1.2b08c02c2af20p+0 12 True aaaa
@@ -60,3 +71,33 @@ class TestCompareScans:
         assert run.returncode == 1
         assert "only in parent: 0 search" in run.stdout
         assert "only in change: 1 search" in run.stdout
+
+
+def test_scan_matches_the_reference(tmp_path):
+    """The scan's first 20 samples give the committed reference's results.
+
+    By ``compare_scans.py``'s rules: the same (sample, procedure) keys, no
+    changed iteration count, convergence flag or search decision, and
+    |dF| <= ``SCAN_F_TOL``.  Fingerprints and alignment lines hash every
+    bit of the estimates, so they are not compared.  The reference holds for
+    the numpy and BLAS build in its header; ``scripts/write_references.py``
+    regenerates it.
+    """
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "equivalence_scan.py"), "--samples", "20"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    reference, scan = REFERENCE / "scan.txt", tmp_path / "scan.txt"
+    scan.write_text(run.stdout)
+    header = [line for line in reference.read_text().splitlines() if line.startswith("#")]
+    parent, change = read_scan(reference), read_scan(scan)
+    assert change.keys() == parent.keys(), header
+    for key, old in parent.items():
+        if key[1] == "align":
+            continue
+        new = change[key]
+        assert new[1:3] == old[1:3], (key, "iterations and convergence", header)
+        assert new[4:] == old[4:], (key, "search decisions", header)
+        delta = abs(float.fromhex(new[0]) - float.fromhex(old[0]))
+        assert delta <= SCAN_F_TOL, (key, delta, header)
