@@ -2,13 +2,13 @@
 
 The discrepancy is the standard ML fit function
 ``F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p``.  Constrained fits solve
-each balance constraint for one loading, so this module's BFGS (:func:`_bfgs`)
-runs over the other parameters with every iterate feasible.  Uniquenesses
-stay above their floor through a log transform, never by clamping.  BFGS
-starts from the inverse of the expected information (the Fisher-scoring
-matrix of F) in the solver's coordinates, or from the identity where that
-is not positive definite.  It tries the full step, then halves it until F
-decreases enough.  Where F is flat to rounding, a trial F rejects passes
+each balance constraint for one loading, so this module's BFGS
+(:func:`minimize`) runs over the other parameters with every iterate
+feasible.  Uniquenesses stay above their floor through a log transform,
+never by clamping.  BFGS starts from the inverse of the expected
+information (the Fisher-scoring matrix of F) in the solver's coordinates,
+or from the identity where that is not positive definite.  It tries the
+full step, then halves it until F decreases enough.  Where F is flat to rounding, a trial F rejects passes
 if F changed by no more than rounding and the gradient fell, and
 otherwise the row stops at once; where a row stops short, scoring steps
 finish the fit.
@@ -18,19 +18,20 @@ model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
 same-sized models together, as one BFGS state over the stack
 (:func:`_bfgs_stack`): every round evaluates the running rows' trial
 points in one call, and updates their inverse Hessians as one batched
-product.  :func:`fit` is a stack of one, solved by the one-row generator
-(:func:`_bfgs`) that :func:`minimize` drives in a plain loop; at one row
-the generator costs less than the stacked state's masks and gathers.  The
-two take every step through the same operations, the rank-2 inverse
-update included (:func:`_update_inverses`, one (n, 2) by (2, n) product).
+product.  :func:`fit` is a stack of one, solved by the one-row loop
+:func:`minimize`, which at one row costs less than the stacked state's
+masks and gathers.  The two take every step through the same operations,
+the rank-2 inverse update included (:func:`_update_inverses`, one (n, 2)
+by (2, n) product).
 The start is batched as well (:meth:`_Fits.start_inverses`): rows at one
 start point share one expected information over the union of their free
 parameters, the block of parameters that they start away from zero is
 inverted once, and each row borders that inverse with its own parameters
-that start at zero, through the Schur complement (:func:`_bordered_inverses`):
-a search's 36 refits invert one block, not 36 informations.  So is the
-finish (:meth:`_Fits.finish`): after any per-row scoring steps, every row
-is unpacked, sign-aligned and scored as one stack.  A slice goes through the same operations as a stack
+that start at zero, through the Schur complement (:func:`_bordered_inverses`,
+written straight into the stack of inverses): a search's 36 refits invert
+one block, not 36 informations.  So is the finish (:meth:`_Fits.finish`):
+after any per-row scoring steps, every row is unpacked, sign-aligned and
+scored as one stack.  A slice goes through the same operations as a stack
 of one, so those fits are bit-identical to serial :func:`fit` calls.
 
 A row evaluated on its own skips the stack's axis: fit's BFGS, its first
@@ -144,7 +145,7 @@ class SampleMoments:
         if asym > 1e-8:
             raise StructureError(f"moment matrix asymmetric beyond tolerance ({asym:.2e})")
         S = (S + S.T) / 2.0
-        log_det = float(_cholesky(S[None])[0])
+        log_det = float(_cholesky(S))
         if not math.isfinite(log_det):
             raise NumericalError("sample moment matrix is not positive definite")
         S.flags.writeable = False
@@ -249,7 +250,7 @@ def ml_discrepancy(S: np.ndarray, sigma: np.ndarray) -> float:
     if S.shape != sigma.shape:
         raise StructureError(f"shape mismatch: {S.shape} vs {sigma.shape}")
     moments = SampleMoments(S)
-    f = float(_discrepancy(sigma[None], moments.S, moments.log_det)[0])
+    f = float(_discrepancy(sigma, moments.S, moments.log_det))
     if math.isnan(f):
         raise NumericalError("model-implied matrix is not positive definite")
     return f
@@ -304,10 +305,10 @@ def ml_gradient(model: FactorModel, theta: np.ndarray, S: np.ndarray) -> np.ndar
         raise NumericalError(
             f"uniqueness below the floor {PSI_FLOOR} (smallest {psi.min():.3g})"
         )
-    f, grad = _discrepancy_and_gradient(model.layout, lam[None], phi[None], psi[None], moments.S)
-    if np.isnan(f[0]):
+    f, grad = _discrepancy_and_gradient(model.layout.take(0), lam, phi, psi, moments.S)
+    if np.isnan(f):
         raise NumericalError("model-implied matrix is not positive definite")
-    return grad[0]
+    return grad
 
 
 def _expected_information(cells, pairs, lam, phi, psi) -> Optional[np.ndarray]:
@@ -323,11 +324,9 @@ def _expected_information(cells, pairs, lam, phi, psi) -> Optional[np.ndarray]:
     makes ``H[a, b] = 2 (x_a'P x_b  y_a'P y_b + x_a'P y_b  y_a'P x_b)``.
     """
     p = lam.shape[0]
-    point = lam[None], phi[None], psi[None]
-    log_det, sig_inv = _factor_inverse(implied_covariance(*point), *point)
-    if not math.isfinite(log_det[0]):
+    log_det, sig_inv = _factor_inverse(implied_covariance(lam, phi, psi), lam, phi, psi)
+    if not math.isfinite(log_det):
         return None
-    sig_inv = sig_inv[0]
     rows, cols = cells
     a, b = pairs
     eye = np.eye(p)
@@ -395,9 +394,8 @@ class _Fits:
     each is solved for its pivot (``choose_pivots``), and BFGS runs over
     the other parameters on the reduced gradient ``g - J' mu``, with
     multipliers ``mu_r = g[pivot_r] / J[r, pivot_r]``.  ``points``,
-    ``evaluate``, ``objectives``, ``informations`` and ``start_inverses``
-    evaluate the listed rows at their solver points, one row of ``Z``
-    each, as a stack.
+    ``evaluate``, ``objectives`` and ``start_inverses`` evaluate the listed
+    rows at their solver points, one row of ``Z`` each, as a stack.
     ``point`` and ``objective`` evaluate one row on its own, with 2-D arrays
     and the row's one-model layout (``row_layouts``): the same operations
     as its slice of a stack, without the stack's axis, so both give the same
@@ -460,7 +458,7 @@ class _Fits:
     def evaluate(self, rows, Z) -> tuple:
         """The rows' :meth:`points`, and row 0's constraint Jacobian (None unconstrained).
 
-        ``objectives`` and ``informations`` take this from the caller when
+        ``objectives`` and ``start_inverses`` take this from the caller when
         both are wanted at one point, so that it is computed once.
         """
         point, jac = self.points(rows, Z), self.fixed_jac
@@ -560,20 +558,6 @@ class _Fits:
                     info[:, log_psi] *= scale
             yield group, info, positions
 
-    def informations(self, rows, Z, at=None) -> np.ndarray:
-        """Expected information in z of each listed row, NaN where Sigma is not PD.
-
-        Each row's principal submatrix of its group's shared information
-        (:meth:`_shared_informations`).  The fits invert it through
-        :meth:`start_inverses`; this whole matrix is the reference that
-        those inverses are tested against.
-        """
-        out = np.full((len(rows), Z.shape[1], Z.shape[1]), np.nan)
-        for group, info, positions in self._shared_informations(rows, Z, at):
-            if info is not None:
-                out[group] = info[positions[:, :, None], positions[:, None, :]]
-        return out
-
     def start_inverses(self, rows, Z, at=None) -> tuple[np.ndarray, np.ndarray]:
         """Each listed row's starting inverse Hessian (k, n, n), and whether it is the information's.
 
@@ -584,8 +568,9 @@ class _Fits:
         inverted once for all the rows with the same block, such as a
         search's single-cell refits.  Each row then borders that inverse with
         the loadings and correlations that its start leaves at exactly 0.0
-        (:func:`_bordered_inverses`).  A row alone partitions its parameters
-        the same way, so a stacked row gets its serial fit's bits.
+        (:func:`_bordered_inverses`, which writes the row's slice of the
+        result in place).  A row alone partitions its parameters the same
+        way, so a stacked row gets its serial fit's bits.
         ``at`` is the rows' :meth:`evaluate`, if already taken.
         """
         n = Z.shape[1]
@@ -601,27 +586,24 @@ class _Fits:
             for i, r in enumerate(group):
                 blocks.setdefault(positions[i][away[r]].tobytes(), []).append(i)
             for members in blocks.values():
-                rows_ = [group[i] for i in members]
+                rows_ = np.array([group[i] for i in members])
                 held = away[rows_]
                 block = positions[members[0]][held[0]]
                 border = positions[members][~held].reshape(len(members), -1)
-                inverses, ok[rows_] = _bordered_inverses(
+                places = np.argsort(~held, axis=1, kind="stable")  # the block's, then the border's
+                ok[rows_] = _bordered_inverses(
                     info[block[:, None], block],
                     info[block[None, :, None], border[:, None, :]],
                     info[border[:, :, None], border[:, None, :]],
+                    out, rows_, places,
                 )
-                if border.size:  # from block order (the block, then the border) to the row's own
-                    order = np.where(held, np.cumsum(held, 1), len(block) + np.cumsum(~held, 1)) - 1
-                    stack = np.arange(len(members))[:, None, None]
-                    inverses = inverses[stack, order[:, :, None], order[:, None, :]]
-                out[rows_] = inverses
         return out, ok
 
     def finish(self, results) -> list[Solution]:
         """Every row's solution from its BFGS result, after any scoring steps.
 
         Near the optimum, where F is flat to rounding, BFGS can stop a hair
-        above ``GRADIENT_TOL`` (:func:`_bfgs`).  Scoring steps
+        above ``GRADIENT_TOL`` (:func:`minimize`).  Scoring steps
         ``z - information(z)^-1 g`` need no function values; the inverse is
         the start's (:meth:`start_inverses` on the row alone), and each step
         is taken only while that information is positive definite, the step
@@ -808,9 +790,9 @@ def fit_each(models: Sequence[FactorModel], moments: SampleMoments, start=None) 
     - The solve: one BFGS state for the whole stack (:func:`_bfgs_stack`),
       whose first evaluation is the start's, and whose every round evaluates the rows' trial points in one stacked
       call and updates their inverse Hessians as one batched product.
-      :func:`fit`'s one row runs the generator :func:`_bfgs` instead, which
-      costs less at one row; both take the same steps and the same update
-      (:func:`_update_inverses`), so their rows agree bit for bit.
+      :func:`fit`'s one row runs the plain loop :func:`minimize` instead,
+      which costs less at one row; both take the same steps and the same
+      update (:func:`_update_inverses`), so their rows agree bit for bit.
     - The finish: :meth:`_Fits.finish` takes any scoring steps row by row,
       then unpacks, aligns signs and scores every row as one stack.
     """
@@ -838,29 +820,10 @@ class _BfgsResult(NamedTuple):
 
 
 def minimize(objective, z0, *, hess_inv0, gtol, maxiter, first=None) -> _BfgsResult:
-    """Dense BFGS (:func:`_bfgs`) on ``objective(z) -> (F, gradient)``, from ``z0``.
+    """Dense BFGS on ``objective(z) -> (F, gradient)`` from ``z0``: :func:`fit`'s one-row solve.
 
-    :func:`fit`'s solve: a plain loop that sends the one generator each
-    trial point's value (perfbench's trace wraps it under this name).
-    ``first`` is ``(F, gradient)`` at ``z0`` if the caller has it.  Returns
-    ``x``, ``jac``, ``nit`` and ``nfev`` (which counts the start's
-    evaluation either way).
-    """
-    solver = _bfgs(z0, hess_inv0, gtol, maxiter)
-    z = next(solver)
-    value = objective(z) if first is None else first
-    while True:
-        try:
-            z = solver.send(value)
-        except StopIteration as done:
-            return done.value
-        value = objective(z)
-
-
-def _bfgs(z0, hess_inv0, gtol, maxiter):
-    """Dense BFGS as a generator: yields each trial point, is sent its ``(F, gradient)``.
-
-    The inverse Hessian starts at ``hess_inv0`` (the identity if None).  Each
+    ``first`` is ``(F, gradient)`` at ``z0`` if the caller has it, and the
+    inverse Hessian starts at ``hess_inv0`` (the identity if None).  Each
     iteration steps along ``d = -H g``: the full step first, halved until
     ``F(z + a d) - F(z) <= c1 a g'd`` (Armijo), tested as a difference so that
     a step too small to change F never passes; a trial at ``_INFEASIBLE_F``
@@ -872,10 +835,12 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
     solve stops once ``max|g| < gtol`` or after ``maxiter`` iterations, and stalls
     where ``d`` is not downhill or no step passes within ``_MAX_HALVINGS``
     halvings.  The rank-2 inverse update (:func:`_update_inverses`) is
-    skipped where ``s'y <= 0``.  Returns a :class:`_BfgsResult`.
+    skipped where ``s'y <= 0``.  Returns a :class:`_BfgsResult`, whose
+    ``nfev`` counts the start's evaluation either way.  perfbench's trace
+    wraps this function under its name.
     """
     z = np.asarray(z0, dtype=float)
-    f, grad = yield z
+    f, grad = objective(z) if first is None else first
     H = np.eye(z.size) if hess_inv0 is None else np.array(hess_inv0, dtype=float)
     nit, nfev = 0, 1
     while (grad_max := np.abs(grad).max()) >= gtol and nit < maxiter:
@@ -886,7 +851,7 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
         for halving in range(_MAX_HALVINGS + 1):
             step = direction * 0.5**halving
             trial = z + step
-            f_new, grad_new = yield trial
+            f_new, grad_new = objective(trial)
             nfev += 1
             if f_new - f <= _ARMIJO_C1 * 0.5**halving * slope:
                 break
@@ -905,7 +870,7 @@ def _bfgs(z0, hess_inv0, gtol, maxiter):
 
 
 def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter, first=None) -> list[_BfgsResult]:
-    """:func:`_bfgs` on every row of ``Z0`` as one state; returns each row's result.
+    """:func:`minimize` on every row of ``Z0`` as one state; returns each row's result.
 
     ``objectives(rows, Z)`` gives the F (k,) and gradients (k, n) of the
     listed rows at the rows of ``Z``; ``first`` is its value at ``Z0`` for
@@ -914,16 +879,16 @@ def _bfgs_stack(objectives, Z0, inverses, gtol, maxiter, first=None) -> list[_Bf
     place.  ``gtol`` and ``maxiter`` are one value or one per row.  The state
     is arrays over the running rows.  Each round takes every row's direction
     and slope as batched products, evaluates every trial point in one call
-    and tests each row's step as :func:`_bfgs` does, by Armijo's condition
+    and tests each row's step as :func:`minimize` does, by Armijo's condition
     and, where that fails with F flat to rounding, by F's change and the
     gradient; the rows whose step passed update their slices of the stacked
     H (:func:`_update_inverses`), the others halve their step, and a flat
     row whose step failed stops.  A row's stopping tests give the same
     answer in every round in which it does not move, so all rows are tested
-    every round, and a row leaves in the round in which :func:`_bfgs` would
-    stop it.  Each row goes through
-    the same BLAS calls as in :func:`_bfgs`, so its result is that of
-    ``_bfgs`` on the row alone, bit for bit.  A row's ``nfev`` is one more
+    every round, and a row leaves in the round in which :func:`minimize`
+    would stop it.  Each row goes through the same BLAS calls as in
+    :func:`minimize`, so its result is that of ``minimize`` on the row alone,
+    bit for bit.  A row's ``nfev`` is one more
     than the rounds it ran.
     """
     k, n = Z0.shape
@@ -1014,8 +979,8 @@ def _conditioned(squares: np.ndarray) -> np.ndarray:
     return squares.min(axis=-1) > _SINGULAR_RATIO * squares.max(axis=-1)
 
 
-def _bordered_inverses(A, B, C) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of each ``M_r = [[A, B_r], [B_r', C_r]]``, with A's inverse taken once.
+def _bordered_inverses(A, B, C, out, rows, places) -> np.ndarray:
+    """Inverse of each ``M_r = [[A, B_r], [B_r', C_r]]``, with A's inverse taken once, into ``out``.
 
     ``A`` is (a, a), shared; ``B`` is (k, a, b) and ``C`` (k, b, b).  Through
     the Schur complement, as batched per-slice products: ``u = A^-1 B``,
@@ -1026,36 +991,38 @@ def _bordered_inverses(A, B, C) -> tuple[np.ndarray, np.ndarray]:
     S's on its diagonal, so M passes where A and S both factor and their
     diagonals together pass.  A matrix that fails (NaN, indefinite, or
     singular up to rounding, whose inverse would be huge or fail) gets the
-    identity.  Returns the (k, a + b, a + b) inverses in block order and
-    which rows passed.  With b = 0 every row gets A's inverse,
-    ``inv(A)`` made exactly symmetric.
+    identity.  ``M_r^-1`` goes to ``out[rows[r]]``, with block order's
+    entry ``(i, j)`` at ``(places[r, i], places[r, j])``: each row's own
+    order, with no (k, a + b, a + b) stack of its own.  With b = 0 every
+    row gets A's inverse, ``inv(A)`` made exactly symmetric, as it stands
+    (``places`` is then each row's 0, 1, ..., a - 1).  Returns which rows
+    passed.
     """
     k, a, b = B.shape
-    out = np.empty((k, a + b, a + b))
     squares_A = np.square(_cholesky_diagonals(A))
     if not _conditioned(squares_A):
-        out[:] = np.eye(a + b)
-        return out, np.zeros(k, dtype=bool)
+        out[rows] = np.eye(a + b)
+        return np.zeros(k, dtype=bool)
     A_inv = np.linalg.inv(A)
     A_inv = (A_inv + A_inv.T) / 2.0
     if b == 0:
-        out[:] = A_inv
-        return out, np.ones(k, dtype=bool)
+        out[rows] = A_inv
+        return np.ones(k, dtype=bool)
     u = A_inv @ B
     S = C - B.swapaxes(-1, -2) @ u
     squares_S = np.square(_cholesky_diagonals(S))
     ok = _conditioned(np.concatenate([np.broadcast_to(squares_A, (k, a)), squares_S], axis=1))
-    out[~ok] = np.eye(a + b)
-    if not ok.any():
-        return out, ok
-    passed = slice(None) if ok.all() else np.flatnonzero(ok)
-    u, S = u[passed], S[passed]
+    out[rows[~ok]] = np.eye(a + b)
+    u, S, rows, places = u[ok], S[ok], rows[ok, None, None], places[ok]
     S_inv = np.linalg.inv(S)
     S_inv = (S_inv + S_inv.swapaxes(-1, -2)) / 2.0
     v = u @ S_inv
     top = A_inv + v @ u.swapaxes(-1, -2)
-    out[passed, :a, :a] = (top + top.swapaxes(-1, -2)) / 2.0
-    out[passed, :a, a:] = -v
-    out[passed, a:, :a] = -v.swapaxes(-1, -2)
-    out[passed, a:, a:] = S_inv
-    return out, ok
+    top += top.swapaxes(-1, -2)
+    top /= 2.0
+    head, tail = places[:, :a], places[:, a:]
+    out[rows, head[:, :, None], head[:, None, :]] = top
+    out[rows, head[:, :, None], tail[:, None, :]] = -v
+    out[rows, tail[:, :, None], head[:, None, :]] = -v.swapaxes(-1, -2)
+    out[rows, tail[:, :, None], tail[:, None, :]] = S_inv
+    return ok

@@ -585,7 +585,7 @@ class TestExpectedInformation:
         objective, z0 = fits.objective, fits.start((lam, phi, psi))[0]
         assert z0.size == model.n_parameters - len(cset)
         assert np.max(np.abs(objective(z0)[1])) < 1e-12
-        info = fits.informations([0], z0[None])[0]
+        info = informations(fits, [0], z0[None])[0]
         hessian = central_difference_hessian(lambda z: objective(z)[1], z0)
         assert np.max(np.abs(info - hessian)) < 1e-6 * np.max(np.abs(hessian))
 
@@ -609,14 +609,14 @@ class TestExpectedInformation:
         C = B.swapaxes(1, 2) @ np.linalg.solve(A, B) + factors @ factors.swapaxes(1, 2)
         C[1] -= 100.0 * np.eye(2)
         C[3] = np.nan
-        inverses, ok = estimation._bordered_inverses(A, B, C)
+        inverses, ok = bordered_inverses(A, B, C)
         assert ok.tolist() == [True, False, True, False, True]
         for r in (1, 3):
             assert np.array_equal(inverses[r], np.eye(6))
         for r in (0, 2, 4):
             M = np.block([[A, B[r]], [B[r].T, C[r]]])
             assert relative_gap(inverses[r], np.linalg.inv(M)) <= 1e-13
-            alone, _ = estimation._bordered_inverses(A, B[r : r + 1], C[r : r + 1])
+            alone, _ = bordered_inverses(A, B[r : r + 1], C[r : r + 1])
             assert inverses[r].tobytes() == alone[0].tobytes()
 
     def test_identity_fallback_only_without_positive_definite_information(self):
@@ -680,9 +680,31 @@ def relative_gap(inverse, dense):
     return np.max(np.abs(inverse - dense)) / np.max(np.abs(dense))
 
 
+def bordered_inverses(A, B, C):
+    """``_bordered_inverses`` into a stack of its own, in block order, and ``ok``."""
+    k, a, b = B.shape
+    out = np.empty((k, a + b, a + b))
+    ok = estimation._bordered_inverses(A, B, C, out, np.arange(k), np.tile(np.arange(a + b), (k, 1)))
+    return out, ok
+
+
 def unbordered_inverses(A, k=1):
     """``_bordered_inverses`` of ``k`` rows that all start away from zero (b = 0)."""
-    return estimation._bordered_inverses(A, np.empty((k, len(A), 0)), np.empty((k, 0, 0)))
+    return bordered_inverses(A, np.empty((k, len(A), 0)), np.empty((k, 0, 0)))
+
+
+def informations(fits, rows, Z):
+    """Expected information in z of each listed row of ``fits``, NaN where Sigma is not PD.
+
+    Each row's principal submatrix of its group's shared information
+    (``_Fits._shared_informations``), whole: the reference that the start's
+    inverses are tested against.
+    """
+    out = np.full((len(rows), Z.shape[1], Z.shape[1]), np.nan)
+    for group, info, positions in fits._shared_informations(rows, Z):
+        if info is not None:
+            out[group] = info[positions[:, :, None], positions[:, None, :]]
+    return out
 
 
 class TestStartInverses:
@@ -704,7 +726,7 @@ class TestStartInverses:
         Z0 = fits.start(start)
         assert np.count_nonzero(Z0 == 0.0) == zeros
         inverses, ok = fits.start_inverses([0], Z0)
-        dense = np.linalg.inv(fits.informations([0], Z0)[0])
+        dense = np.linalg.inv(informations(fits, [0], Z0)[0])
         assert ok.tolist() == [True]
         assert np.array_equal(inverses[0], inverses[0].T)
         assert relative_gap(inverses[0], dense) <= 1e-13
@@ -719,7 +741,7 @@ class TestStartInverses:
         C = B.swapaxes(1, 2) @ np.linalg.solve(A, B)
         C = (C + C.swapaxes(1, 2)) / 2.0
         C[[0, 2]] += np.eye(2)
-        inverses, ok = estimation._bordered_inverses(A, B, C)
+        inverses, ok = bordered_inverses(A, B, C)
         assert ok.tolist() == [True, False, True]
         assert np.array_equal(inverses[1], np.eye(6))
         for r in (0, 2):
@@ -727,7 +749,7 @@ class TestStartInverses:
             assert np.array_equal(inverses[r], inverses[r].T)
             assert relative_gap(inverses[r], np.linalg.inv(M)) <= 1e-13
         singular = np.outer(factor[:, 0], factor[:, 0])
-        inverses, ok = estimation._bordered_inverses(singular, B, C)
+        inverses, ok = bordered_inverses(singular, B, C)
         assert ok.tolist() == [False] * 3
         assert np.array_equal(inverses, np.broadcast_to(np.eye(6), (3, 6, 6)))
 
@@ -1091,23 +1113,23 @@ class TestFitEach:
         fits = estimation._Fits(refits, None, moments)
         Z0 = fits.start(start)
         sizes = record_information_sizes(monkeypatch)
-        shared = fits.informations(range(len(refits)), Z0)
+        shared = informations(fits, range(len(refits)), Z0)
         union = 54 + (3 if phi_spec == "free" else 0) + 18
         assert sizes == [union]
         for r, model in enumerate(refits):
             own_fits = estimation._Fits([model], None, moments)
             z0 = own_fits.start(start)
             assert z0.tobytes() == Z0[r : r + 1].tobytes()
-            own = own_fits.informations([0], z0)[0]
+            own = informations(own_fits, [0], z0)[0]
             assert shared[r].tobytes() == own.tobytes()
             np.linalg.cholesky(own)
         # A row whose uniquenesses move leaves the shared point.
         Z0[1, -1] += 0.1
         sizes.clear()
-        moved = fits.informations(range(len(refits)), Z0)[1]
+        moved = informations(fits, range(len(refits)), Z0)[1]
         own_fits = estimation._Fits([refits[1]], None, moments)
         assert sorted(sizes) == [refits[1].n_parameters, union - 1]
-        assert moved.tobytes() == own_fits.informations([0], Z0[1:2])[0].tobytes()
+        assert moved.tobytes() == informations(own_fits, [0], Z0[1:2])[0].tobytes()
 
     def test_rows_at_different_starts_take_separate_informations(
         self, data_dir, icm_pattern, monkeypatch, empty_memo
@@ -1119,11 +1141,11 @@ class TestFitEach:
         fits = estimation._Fits(models, None, moments)
         Z0 = fits.start(start)
         sizes = record_information_sizes(monkeypatch)
-        stacked = fits.informations(range(len(models)), Z0)
+        stacked = informations(fits, range(len(models)), Z0)
         assert sizes == [39, 40, 40, 40]
         for r, model in enumerate(models):
             own_fits = estimation._Fits([model], None, moments)
-            own = own_fits.informations([0], own_fits.start(start))[0]
+            own = informations(own_fits, [0], own_fits.start(start))[0]
             assert stacked[r].tobytes() == own.tobytes()
 
     def test_row_without_positive_definite_information_starts_from_identity(
@@ -1160,19 +1182,19 @@ class TestFitEach:
     def test_start_floors_the_uniquenesses(self, population_moments, icm_pattern, monkeypatch):
         # Uniquenesses below twice the floor start at twice the floor, whose
         # solver coordinate log(psi - floor) is log(floor).  fit's one row
-        # starts the generator, and fit_each's rows the stacked state.
+        # starts minimize, and fit_each's rows the stacked state.
         starts = []
-        bfgs, bfgs_stack = estimation._bfgs, estimation._bfgs_stack
+        minimize, bfgs_stack = estimation.minimize, estimation._bfgs_stack
 
-        def record(z0, *args):
+        def record(objective, z0, **kwargs):
             starts.append(np.array(z0))
-            return bfgs(z0, *args)
+            return minimize(objective, z0, **kwargs)
 
         def record_stack(objectives, Z0, *args):
             starts.extend(np.array(Z0))
             return bfgs_stack(objectives, Z0, *args)
 
-        monkeypatch.setattr(estimation, "_bfgs", record)
+        monkeypatch.setattr(estimation, "minimize", record)
         monkeypatch.setattr(estimation, "_bfgs_stack", record_stack)
         psi = np.full(18, 0.5)
         psi[[0, 7]] = 0.0, 1e-4
