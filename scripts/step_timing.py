@@ -19,14 +19,21 @@ the set-up's cold start.
 - ``fit_each, 36 refits``: those refits solved as one stack, in ms, with
   the stacked solve's rounds (stacked evaluations, the start's included),
   the rounds that evaluate a single row, and the row evaluations.
+- ``search``: one ``specification_search`` of the ICM pattern (free phi,
+  threshold 15, at most 3 cells freed per factor: perfbench's ``search``
+  operation without the CLI), in ms.
 
 Each time is the best of 7 repeats, in microseconds per evaluation or
-milliseconds per fit.
+milliseconds per fit.  The refit start and the search also print their
+``tracemalloc`` peak in KB: the most memory that Python and numpy held at
+once during one call, above what they held before it, with the cold-start
+memo warm.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from bufcfa import (
     build_one_step_constraints,
     draw_sample,
     fit,
+    specification_search,
 )
 from bufcfa import estimation
 from bufcfa.estimation import fit_each
@@ -58,6 +66,16 @@ def best_of(call, n) -> float:
             call()
         times.append((time.perf_counter() - start) / n)
     return min(times)
+
+
+def peak_kb(call) -> float:
+    """The tracemalloc peak of one call, in KB above what was held before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def setups():
@@ -145,14 +163,26 @@ def main() -> None:
     models, start = refits(moments)
     fits = estimation._Fits(models, None, moments)
     Z0, rows = fits.start(start), range(len(models))
-    per_start = best_of(lambda: fits.start_inverses(rows, Z0, fits.evaluate(rows, Z0)), FITS)
-    print(f"refit start, {len(models)} rows   {per_start * 1e3:8.3f} ms")
+
+    def refit_start():
+        return fits.start_inverses(rows, Z0, fits.evaluate(rows, Z0))
+
+    per_start = best_of(refit_start, FITS)
+    print(f"refit start, {len(models)} rows   {per_start * 1e3:8.3f} ms"
+          f"  peak {peak_kb(refit_start):7.1f} KB")
     per_stack = best_of(lambda: fit_each(models, moments, start), FITS // 4)
     rounds, single, evaluations = stack_counts(models, moments, start)
     print(
         f"fit_each, {len(models)} refits  {per_stack * 1e3:8.3f} ms  rounds {rounds}"
         f"  single-row rounds {single}  row evaluations {evaluations}"
     )
+    pattern = block_pattern(3, 6, "zero")
+
+    def search():
+        return specification_search(pattern, moments, 15.0, 3)
+
+    per_search = best_of(search, FITS // 8)
+    print(f"search                  {per_search * 1e3:8.3f} ms  peak {peak_kb(search):7.1f} KB")
 
 
 if __name__ == "__main__":
