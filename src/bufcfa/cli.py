@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BufcfaError, InputError
-from .io import read_correlation_matrix, read_raw_data, read_result, write_result
+from .io import read_correlation_matrix, read_raw_data, read_result, read_text, write_result
 from .modelspec import ModelSpecDocument, parse_grid_document, parse_model_spec
 from .procedures import ProcedureTrace, icm, multi_step, one_step, specification_search
 from .simulation import GridSpec, run_grid
@@ -28,11 +28,7 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _load_document(path) -> ModelSpecDocument:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_model_spec(text)
+    return parse_model_spec(read_text(path))
 
 
 def _load_moments(data_path, n):
@@ -45,9 +41,13 @@ def _load_moments(data_path, n):
 
 
 def _looks_raw(path: Path) -> bool:
-    """Raw data files start with a header of non-numeric variable names."""
+    """Raw data files start with a header of non-numeric variable names.
+
+    A file that cannot be read or decoded is not raw, so that the matrix
+    reader reports it.
+    """
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -59,7 +59,7 @@ def _looks_raw(path: Path) -> bool:
                 except ValueError:
                     head, colon, _ = line.partition(":")
                     return not (colon and head.strip().lower() == "n")
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return False
     return False
 
@@ -151,11 +151,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        text = Path(args.grid).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.grid}: {exc}") from exc
-    values = parse_grid_document(text)
+    values = parse_grid_document(read_text(args.grid))
     if args.reps is not None:
         values["replications"] = args.reps
     if args.seed is not None:

@@ -35,6 +35,14 @@ def _split_cells(line: str) -> list[str]:
     return line.replace(",", " ").split()
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; a file that cannot be read or decoded is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def read_correlation_matrix(path, n: Optional[int] = None) -> SampleMoments:
     """Read a square correlation/covariance matrix plus its n declaration.
 
@@ -42,10 +50,7 @@ def read_correlation_matrix(path, n: Optional[int] = None) -> SampleMoments:
     is rejected.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     rows: list[list[float]] = []
     declared_n: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -85,10 +90,7 @@ def read_correlation_matrix(path, n: Optional[int] = None) -> SampleMoments:
 def read_raw_data(path) -> SampleMoments:
     """Read delimited observations (header of names, one row per case)."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     lines = [
         stripped
         for raw in text.splitlines()
@@ -241,18 +243,20 @@ def write_grid_tables(summaries, records, json_path) -> None:
         (".cells.csv", SUMMARY_COLUMNS, summaries),
         (".reps.csv", RECORD_COLUMNS, records),
     ):
-        with base.with_suffix(suffix).open("w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_csv_value(getattr(row, name)) for name in columns) + "\n")
+        path = base.with_suffix(suffix)
+        try:
+            with path.open("w") as fh:
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(_csv_value(getattr(row, name)) for name in columns) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def read_result(path) -> dict:
     """Load a result document written by :func:`write_result`."""
-    path = Path(path)
+    text = read_text(path)
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not a valid result document ({exc})") from exc

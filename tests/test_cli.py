@@ -458,6 +458,42 @@ class TestSimulateCommand:
         assert "replications must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--model", "{bad}", "--data", "{data}/population_corr.dat"],
+        ["fit", "--model", "{data}/one_step.model", "--data", "{bad}"],
+        ["search", "--model", "{data}/one_step.model", "--data", "{bad}"],
+        ["simulate", "--grid", "{bad}", "--out", "{tmp}/sim.json"],
+        ["quality", "--result", "{bad}"],
+    ],
+    ids=["fit --model", "fit --data", "search --data", "simulate --grid", "quality --result"],
+)
+def test_undecodable_input_is_input_error(tmp_path, data_dir, capsys, argv):
+    # Input files are UTF-8 (docs/file_formats.md); these two bytes are not.
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(b"\xff\xfe")
+    paths = {"bad": bad, "data": data_dir, "tmp": tmp_path}
+    code = cli.main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: cannot read {bad}" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_grid_table_is_input_error(tmp_path, capsys):
+    grid = tmp_path / "tiny.grid"
+    grid.write_text(GRID_TEXT)
+    (tmp_path / "sim.cells.csv").mkdir()
+    code = cli.main([
+        "simulate", "--grid", str(grid), "--reps", "1", "--out", str(tmp_path / "sim.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: cannot write {tmp_path / 'sim.cells.csv'}" in err
+    assert "Traceback" not in err
+
+
 def test_no_command_loads_scipy_optimize(tmp_path, data_dir):
     """A fresh process: scipy.optimize stays unloaded after fit and after simulate.
 
