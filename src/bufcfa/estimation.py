@@ -8,10 +8,10 @@ feasible.  Uniquenesses stay above their floor through a log transform,
 never by clamping.  BFGS starts from the inverse of the expected
 information (the Fisher-scoring matrix of F) in the solver's coordinates,
 or from the identity where that is not positive definite.  It tries the
-full step, then halves it until F decreases enough.  Where F is flat to rounding, a trial F rejects passes
-if F changed by no more than rounding and the gradient fell, and
-otherwise the row stops at once; where a row stops short, scoring steps
-finish the fit.
+full step, then halves it until F decreases enough.  Where F is flat to
+rounding, a trial F rejects passes if F changed by no more than rounding
+and the gradient fell, and otherwise the row stops at once; where a row
+stops short, scoring steps finish the fit.
 
 F and its gradient are computed for a stack of parameter points, one
 model per slice, in one call.  :func:`fit_each` runs unconstrained fits of
