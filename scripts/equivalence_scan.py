@@ -113,7 +113,9 @@ def alignment_fingerprint(traces, lam_pop) -> str:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Fingerprint every procedure over fixed samples.")
-    parser.add_argument("--samples", type=int, default=SAMPLES, help=f"samples to scan (default {SAMPLES})")
+    parser.add_argument(
+        "--samples", type=int, default=SAMPLES, help=f"scan samples 0 to K - 1 (default {SAMPLES})"
+    )
     samples = parser.parse_args(argv).samples
     population = read_correlation_matrix(DATA / "population_corr.dat").S
     # The generator behind population_corr.dat.
